@@ -1,22 +1,34 @@
-// Regenerates tests/golden/schedule_equivalence.txt: the pinned per-case
-// metrics of the 34-run equivalence suite (17 cases x fault-free/faulted).
+// Regenerates the stored goldens under tests/golden/:
 //
 //   ./equivalence_golden > ../tests/golden/schedule_equivalence.txt
+//   ./equivalence_golden reliability > ../tests/golden/reliability_equivalence.txt
 //
-// The numbers were captured from the build in which the legacy per-strategy
-// clients were bit-identical to the schedule-IR executor; rerun this only
-// when an intentional behavior change re-pins the suite (and say so in the
-// commit). Format: one space-separated record per line,
+// schedule: the pinned per-case metrics of the 34-run equivalence suite
+// (17 cases x fault-free/faulted), captured from the build in which the
+// legacy per-strategy clients were bit-identical to the schedule-IR
+// executor. Format: one space-separated record per line,
 //   name variant elapsed events packets payload unreachable pairs_complete
 //   reachable_complete links_mean matrix_fnv reachable_fnv
+//
+// reliability: every counter of the end-to-end reliability layer and the
+// fault subsystem on the reliability cases (tests/reliability_cases.hpp) at
+// 1 and 4 slab threads; one "name threads <rel_record>" line per run.
+//
+// Rerun this only when an intentional behavior change re-pins a suite (and
+// say so in the commit).
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "src/coll/alltoall.hpp"
 #include "tests/equivalence_cases.hpp"
+#include "tests/reliability_cases.hpp"
 
-int main() {
-  using namespace bgl::coll;
+namespace {
+
+using namespace bgl::coll;
+
+int print_schedule_golden() {
   std::printf("# schedule-equivalence golden: 17 cases x {fault_free,faulted}\n");
   std::printf(
       "# name variant elapsed events packets payload unreachable "
@@ -47,4 +59,45 @@ int main() {
     }
   }
   return 0;
+}
+
+int print_reliability_golden() {
+  std::printf("# reliability-equivalence golden: %zu cases x {1,4} slab threads\n",
+              std::size(kRelCases));
+  std::printf(
+      "# name threads elapsed events packets payload pairs_complete "
+      "reachable_complete unreachable abandoned epochs data_sequenced "
+      "retransmits gave_up acks_standalone acks_piggybacked duplicates_dropped "
+      "corrupt_rejected dropped_in_flight dropped_prob dropped_stuck "
+      "corrupted_payloads unroutable_at_injection reroute_vetoes "
+      "transient_strikes link_down_cycles stranded_relay_bytes matrix_fnv "
+      "reachable_fnv\n");
+  for (const RelCase& c : kRelCases) {
+    for (const int threads : kRelThreads) {
+      AlltoallOptions options = rel_options(c, threads);
+      DeliveryMatrix matrix(static_cast<std::int32_t>(options.net.shape.nodes()));
+      options.deliveries = &matrix;
+      const RunResult result = run_alltoall(c.kind, options);
+      if (!result.drained) {
+        std::fprintf(stderr, "case %s at %d threads did not drain\n", c.name, threads);
+        return 1;
+      }
+      std::printf("%s %d %s\n", c.name, threads, rel_record(result, matrix).c_str());
+    }
+  }
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc > 2 || (argc == 2 && std::strcmp(argv[1], "schedule") != 0 &&
+                   std::strcmp(argv[1], "reliability") != 0)) {
+    std::fprintf(stderr, "usage: %s [schedule|reliability]\n", argv[0]);
+    return 2;
+  }
+  if (argc == 2 && std::strcmp(argv[1], "reliability") == 0) {
+    return print_reliability_golden();
+  }
+  return print_schedule_golden();
 }

@@ -167,7 +167,9 @@ struct RunResult {
   rt::ReliabilityStats reliability{};
   /// Ordered pairs the strategy could not serve under the fault plan.
   std::uint64_t unreachable_pairs = 0;
-  /// Reachable pairs abandoned after the retry budget (0 = full delivery).
+  /// Distinct reachable (injector, destination) pairs with a packet
+  /// abandoned after the retry budget (0 = full delivery); a recovered run
+  /// adds each repair epoch's count.
   std::uint64_t abandoned_pairs = 0;
   /// Per-pair reachability (nodes() == 0 when fault-free); combine with
   /// AlltoallOptions::deliveries + DeliveryMatrix::complete_reachable.

@@ -23,8 +23,6 @@ constexpr std::uint64_t kMtPollMask = 0x1fff;
 
 }  // namespace
 
-thread_local Fabric::Shard* Fabric::shard_ctx_ = nullptr;
-
 Fabric::Fabric(const NetworkConfig& config, Client& client)
     : config_(config),
       torus_(config.shape),

@@ -551,8 +551,11 @@ class Fabric : public sim::EventHandler {
   // --- parallel-run state (empty on single-threaded runs) ---
   /// Slab of the worker executing the current handler; null outside
   /// run_parallel. Thread-local so nested fabrics on different host threads
-  /// (harness --jobs) cannot alias.
-  static thread_local Shard* shard_ctx_;
+  /// (harness --jobs) cannot alias. Defined inline and constant-initialized
+  /// so every translation unit reads the variable directly: an out-of-line
+  /// thread_local read from another TU goes through a TLS wrapper that
+  /// UBSan reports as a null load.
+  static constinit inline thread_local Shard* shard_ctx_ = nullptr;
   std::vector<Shard> shards_;
   std::vector<std::int32_t> node_slab_;
   std::function<bool()> abort_check_;

@@ -1,6 +1,7 @@
 #include "src/network/faults.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -207,15 +208,76 @@ FaultPlan::FaultPlan(const NetworkConfig& config, const topo::Shape& shape)
             });
 }
 
+std::uint64_t FaultPlan::RouteMemo::pack_hops(const HopVec& hops) noexcept {
+  std::uint64_t packed = 0;
+  for (std::size_t a = 0; a < hops.size(); ++a) {
+    packed |= static_cast<std::uint64_t>(static_cast<std::uint16_t>(hops[a])) << (16 * a);
+  }
+  return packed;
+}
+
+std::size_t FaultPlan::RouteMemo::home(std::uint64_t hops,
+                                       std::uint32_t node_mode) const noexcept {
+  // Two multiplicative rounds, then Fibonacci hashing: the top bits of the
+  // product depend on every key bit.
+  const std::uint64_t h =
+      ((hops * 0x9e3779b97f4a7c15ULL) ^ node_mode) * 0xc2b2ae3d27d4eb4fULL;
+  return static_cast<std::size_t>(h >> shift_);
+}
+
+int FaultPlan::RouteMemo::find(topo::Rank node, RoutingMode mode,
+                               const HopVec& hops) const noexcept {
+  if (used_ == 0) return -1;
+  const std::uint64_t key_hops = pack_hops(hops);
+  const std::uint32_t key_nm = pack_node_mode(node, mode);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(key_hops, key_nm);; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.node_mode == kEmpty) return -1;
+    if (slot.node_mode == key_nm && slot.hops == key_hops) {
+      return static_cast<int>(slot.live);
+    }
+  }
+}
+
+void FaultPlan::RouteMemo::insert(topo::Rank node, RoutingMode mode,
+                                  const HopVec& hops, bool live) {
+  // Load factor <= 1/2 keeps probe chains short and guarantees a free slot.
+  if (2 * (used_ + 1) > slots_.size()) grow();
+  place(Slot{pack_hops(hops), pack_node_mode(node, mode), live ? 1u : 0u});
+  ++used_;
+}
+
+void FaultPlan::RouteMemo::place(const Slot& slot) noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(slot.hops, slot.node_mode);
+  while (slots_[i].node_mode != kEmpty) i = (i + 1) & mask;
+  slots_[i] = slot;
+}
+
+void FaultPlan::RouteMemo::clear() noexcept {
+  if (used_ == 0) return;
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  used_ = 0;
+}
+
+void FaultPlan::RouteMemo::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? kInitialSlots : old.size() * 2, Slot{});
+  shift_ = 64 - std::countr_zero(slots_.size());
+  for (const Slot& slot : old) {
+    if (slot.node_mode != kEmpty) place(slot);
+  }
+}
+
 bool FaultPlan::route_live(topo::Rank node, const HopVec& hops, RoutingMode mode,
                            RouteMemo* memo) const {
   if (!node_alive(node)) return false;
   if (hops[0] == 0 && hops[1] == 0 && hops[2] == 0 && hops[3] == 0) return true;
 
   RouteMemo& cache = memo != nullptr ? *memo : route_memo_;
-  const RouteKey key{node, static_cast<std::uint8_t>(mode), hops};
-  if (const auto it = cache.find(key); it != cache.end()) {
-    return it->second;
+  if (const int cached = cache.find(node, mode, hops); cached >= 0) {
+    return cached != 0;
   }
 
   bool live = false;
@@ -234,7 +296,7 @@ bool FaultPlan::route_live(topo::Rank node, const HopVec& hops, RoutingMode mode
     // unfinished axis may move.
     if (mode == RoutingMode::kDeterministic) break;
   }
-  cache.emplace(key, live);
+  cache.insert(node, mode, hops, live);
   return live;
 }
 

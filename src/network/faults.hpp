@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/network/config.hpp"
@@ -88,34 +87,48 @@ struct TransientOutage {
 
 class FaultPlan {
  public:
-  // Memo key for route_live: exact-match (node, mode, hop vector). A packed
-  // uint64 no longer fits now that hops are 4 x int16, so the key hashes
-  // FNV-1a over its bytes and compares exactly (no collision risk).
-  struct RouteKey {
-    topo::Rank node = 0;
-    std::uint8_t mode = 0;
-    HopVec hops{0, 0, 0, 0};
-    friend bool operator==(const RouteKey&, const RouteKey&) = default;
-  };
-  struct RouteKeyHash {
-    std::size_t operator()(const RouteKey& k) const noexcept {
-      std::uint64_t h = 1469598103934665603ULL;
-      const auto mix = [&h](std::uint64_t v, int bytes) {
-        for (int i = 0; i < bytes; ++i) {
-          h = (h ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ULL;
-        }
-      };
-      mix(static_cast<std::uint32_t>(k.node), 4);
-      mix(k.mode, 1);
-      for (const auto hop : k.hops) mix(static_cast<std::uint16_t>(hop), 2);
-      return static_cast<std::size_t>(h);
+  /// Routability memo: a flat open-addressed table keyed exactly by
+  /// (node, mode, hop vector). The key packs into two words — the four
+  /// int16 hops into one uint64 and (node << 1 | mode) into a uint32 — so
+  /// a lookup is one multiplicative hash and a linear probe over 16-byte
+  /// slots that hold the answer inline. Capacity is a power of two, grows
+  /// lazily (nothing is allocated until the first insert) and survives
+  /// clear(). Answers never depend on the table's layout: the oracle is a
+  /// pure function of immutable plan state, so per-shard memos answer
+  /// identically. The plan keeps an internal one for single-threaded
+  /// callers; parallel workers pass their own shard-owned memo instead.
+  class RouteMemo {
+   public:
+    /// The memoized answer: 1 live, 0 severed, -1 not cached.
+    int find(topo::Rank node, RoutingMode mode, const HopVec& hops) const noexcept;
+    /// Caches an answer for a key that find() reported missing.
+    void insert(topo::Rank node, RoutingMode mode, const HopVec& hops, bool live);
+    /// Forgets every answer and keeps the capacity.
+    void clear() noexcept;
+
+   private:
+    // node_mode == kEmpty marks a free slot. Ranks fit int32 (the fabric
+    // rejects larger shapes), so (rank << 1 | mode) never reaches it.
+    static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+    static constexpr std::size_t kInitialSlots = 256;
+    struct Slot {
+      std::uint64_t hops = 0;
+      std::uint32_t node_mode = kEmpty;
+      std::uint32_t live = 0;
+    };
+    static std::uint64_t pack_hops(const HopVec& hops) noexcept;
+    static std::uint32_t pack_node_mode(topo::Rank node, RoutingMode mode) noexcept {
+      return (static_cast<std::uint32_t>(node) << 1) | static_cast<std::uint32_t>(mode);
     }
+    std::size_t home(std::uint64_t hops, std::uint32_t node_mode) const noexcept;
+    /// Stores `slot` at the first free slot of its probe chain.
+    void place(const Slot& slot) noexcept;
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::size_t used_ = 0;
+    int shift_ = 64;  // 64 - log2(capacity): home() keeps the hash's top bits
   };
-  /// Routability memo. The plan keeps an internal one for single-threaded
-  /// callers; parallel workers pass their own shard-owned memo instead (the
-  /// oracle itself is a pure function of immutable plan state, so per-shard
-  /// memos answer identically — only the caching is sharded).
-  using RouteMemo = std::unordered_map<RouteKey, bool, RouteKeyHash>;
 
   FaultPlan() = default;
 

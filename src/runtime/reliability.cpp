@@ -1,6 +1,7 @@
 #include "src/runtime/reliability.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace bgl::rt {
 namespace {
@@ -48,16 +49,141 @@ ReliableClient::ReliableClient(const net::NetworkConfig& config, net::Client& in
       rto_(config.faults.retrans_timeout),
       ack_delay_(std::max<Tick>(1, config.faults.retrans_timeout / 8)),
       scan_period_(std::max<Tick>(1, config.faults.retrans_timeout / 4)),
-      max_retries_(config.faults.max_retries) {
-  const std::size_t nodes = static_cast<std::size_t>(config.shape.nodes());
-  send_.resize(nodes);
-  recv_.resize(nodes);
-  ready_.resize(nodes);
-  unacked_count_.assign(nodes, 0);
-  scan_armed_.assign(nodes, 0);
-  stats_by_node_.resize(nodes);
-  abandoned_by_node_.resize(nodes);
+      max_retries_(config.faults.max_retries),
+      nodes_(static_cast<std::size_t>(config.shape.nodes())) {}
+
+// --- sender window ----------------------------------------------------------
+
+void ReliableClient::NodeState::push(Window& window, const Pending& pending) {
+  if (window.end - window.base == window.capacity) {
+    const std::uint32_t capacity = std::max<std::uint32_t>(1, 2 * window.capacity);
+    const auto size_class = static_cast<std::size_t>(std::countr_zero(capacity));
+    if (free_blocks.size() <= size_class) free_blocks.resize(size_class + 1);
+    std::uint32_t offset = 0;
+    if (free_blocks[size_class].empty()) {
+      offset = static_cast<std::uint32_t>(slots.size());
+      slots.resize(slots.size() + capacity);
+    } else {
+      offset = free_blocks[size_class].back();
+      free_blocks[size_class].pop_back();
+    }
+    for (std::uint32_t seq = window.base; seq != window.end; ++seq) {
+      Pending& old = slot(window, seq);
+      slots[offset + (seq & (capacity - 1))] = old;
+      old.tries = 0;
+    }
+    if (window.capacity != 0) {
+      free_blocks[static_cast<std::size_t>(std::countr_zero(window.capacity))].push_back(
+          window.offset);
+    }
+    window.offset = offset;
+    window.capacity = capacity;
+  }
+  slot(window, window.end) = pending;
+  ++window.end;
+  ++window.live;
 }
+
+bool ReliableClient::NodeState::release(Window& window, std::uint32_t seq) noexcept {
+  if (seq < window.base || seq >= window.end) return false;
+  Pending& pending = slot(window, seq);
+  if (pending.tries == 0) return false;
+  pending.tries = 0;
+  --window.live;
+  return true;
+}
+
+void ReliableClient::NodeState::trim(Window& window) noexcept {
+  while (window.base != window.end && slot(window, window.base).tries == 0) ++window.base;
+}
+
+// --- per-node flow state ----------------------------------------------------
+
+ReliableClient::Flow& ReliableClient::flow(NodeState& state, Rank peer) {
+  if (state.flows.empty()) state.flows.resize(nodes_.size());
+  return state.flows[static_cast<std::size_t>(peer)];
+}
+
+ReliableClient::Window& ReliableClient::open_window(NodeState& state, Flow& flow,
+                                                    Rank peer) {
+  if (flow.window == 0) {
+    if (state.free_windows.empty()) {
+      state.windows.emplace_back();
+      flow.window = static_cast<std::uint32_t>(state.windows.size());
+    } else {
+      flow.window = state.free_windows.back() + 1;
+      state.free_windows.pop_back();
+    }
+    Window& window = state.windows[flow.window - 1];
+    window.base = window.end = flow.next_seq + 1;
+  }
+  if (!flow.listed) {
+    flow.listed = 1;
+    if (!state.active.empty() && peer < state.active.back()) state.active_unsorted = true;
+    state.active.push_back(peer);
+  }
+  return state.windows[flow.window - 1];
+}
+
+void ReliableClient::close_window(NodeState& state, Flow& flow) {
+  state.free_windows.push_back(flow.window - 1);
+  flow.window = 0;
+}
+
+bool ReliableClient::received_above_cum(const NodeState& state, const Flow& flow,
+                                        std::uint32_t seq) noexcept {
+  if (flow.ooo == 0) return false;
+  const std::vector<std::uint64_t>& words = state.bitmaps[flow.ooo - 1];
+  const std::uint32_t bit = seq - flow.cum - 1;
+  return bit / 64 < words.size() && ((words[bit / 64] >> (bit % 64)) & 1) != 0;
+}
+
+void ReliableClient::accept(NodeState& state, Flow& flow, std::uint32_t seq) {
+  // In-order receipt with nothing buffered above it: the common case, and
+  // the only one that needs no bitmap.
+  if (flow.ooo == 0 && seq == flow.cum + 1) {
+    flow.cum = seq;
+    return;
+  }
+  if (flow.ooo == 0) {
+    if (state.free_bitmaps.empty()) {
+      state.bitmaps.emplace_back(1, 0);
+      flow.ooo = static_cast<std::uint32_t>(state.bitmaps.size());
+    } else {
+      flow.ooo = state.free_bitmaps.back() + 1;
+      state.free_bitmaps.pop_back();
+    }
+  }
+  std::vector<std::uint64_t>& words = state.bitmaps[flow.ooo - 1];
+  const std::uint32_t bit = seq - flow.cum - 1;
+  if (bit / 64 >= words.size()) words.resize(bit / 64 + 1, 0);
+  words[bit / 64] |= std::uint64_t{1} << (bit % 64);
+  if (bit != 0) return;
+
+  // The gap at cum + 1 closed: advance over the run of received sequences
+  // and shift the bitmap down by the same amount.
+  std::size_t shift = 0;
+  while (shift / 64 < words.size() && words[shift / 64] == ~std::uint64_t{0}) shift += 64;
+  if (shift / 64 < words.size()) {
+    shift += static_cast<std::size_t>(std::countr_one(words[shift / 64]));
+  }
+  flow.cum += static_cast<std::uint32_t>(shift);
+  const std::size_t word_shift = shift / 64;
+  const unsigned bit_shift = static_cast<unsigned>(shift % 64);
+  bool empty = true;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    const std::uint64_t lo = i + word_shift < words.size() ? words[i + word_shift] : 0;
+    const std::uint64_t hi = i + word_shift + 1 < words.size() ? words[i + word_shift + 1] : 0;
+    words[i] = bit_shift == 0 ? lo : (lo >> bit_shift) | (hi << (64 - bit_shift));
+    empty = empty && words[i] == 0;
+  }
+  if (empty) {
+    state.free_bitmaps.push_back(flow.ooo - 1);
+    flow.ooo = 0;
+  }
+}
+
+// --- client hooks -------------------------------------------------------------
 
 bool ReliableClient::routable(Rank from, Rank to, net::RoutingMode mode) const {
   // Until a delayed permanent strike (fail_at > 0) actually lands, the
@@ -69,11 +195,11 @@ bool ReliableClient::routable(Rank from, Rank to, net::RoutingMode mode) const {
 }
 
 bool ReliableClient::next_packet(Rank node, net::InjectDesc& out) {
-  auto& queue = ready_[static_cast<std::size_t>(node)];
-  if (!queue.empty()) {
-    out = queue.front();
-    queue.pop_front();
-    refresh_ack(node, out);
+  NodeState& state = nodes_[static_cast<std::size_t>(node)];
+  if (!state.ready.empty()) {
+    out = state.ready.front();
+    state.ready.pop_front();
+    refresh_ack(state, out);
     out.checksum = stamp_checksum(node, out);  // ack fields just changed
     return true;
   }
@@ -81,44 +207,44 @@ bool ReliableClient::next_packet(Rank node, net::InjectDesc& out) {
   net::InjectDesc desc;
   if (!inner_->next_packet(node, desc)) return false;
   if (routable(node, desc.dst, desc.mode)) {
-    SenderFlow& flow = send_[static_cast<std::size_t>(node)][desc.dst];
-    desc.seq = ++flow.next_seq;
-    Pending pending;
-    pending.desc = desc;
-    pending.sent_at = fabric_->now();
-    flow.unacked.emplace(desc.seq, pending);
-    ++unacked_count_[static_cast<std::size_t>(node)];
-    ++stats_by_node_[static_cast<std::size_t>(node)].data_sequenced;
+    Flow& f = flow(state, desc.dst);
+    Window& window = open_window(state, f, desc.dst);
+    desc.seq = ++f.next_seq;
+    state.push(window, Pending{desc, fabric_->now(), 1});
+    ++state.unacked;
+    ++state.stats.data_sequenced;
     arm_scan(node);
   }
   // else: no live path exists; the fabric consumes the descriptor and counts
   // it unroutable, and tracking it would only retransmit into the void.
-  refresh_ack(node, desc);
+  refresh_ack(state, desc);
   desc.checksum = stamp_checksum(node, desc);
   out = desc;
   return true;
 }
 
-void ReliableClient::refresh_ack(Rank node, net::InjectDesc& desc) {
-  auto& flows = recv_[static_cast<std::size_t>(node)];
-  const auto it = flows.find(desc.dst);
-  if (it == flows.end()) return;
-  ReceiverFlow& flow = it->second;
-  desc.ack_cum = flow.cum;
-  std::uint32_t bits = 0;
-  for (int b = 0; b < 32; ++b) {
-    if (flow.ooo.count(flow.cum + 1 + static_cast<std::uint32_t>(b))) {
-      bits |= (std::uint32_t{1} << b);
-    }
-  }
-  desc.ack_bits = bits;
-  if (flow.ack_pending) {
-    flow.ack_pending = false;
-    ++stats_by_node_[static_cast<std::size_t>(node)].acks_piggybacked;
+void ReliableClient::refresh_ack(NodeState& state, net::InjectDesc& desc) {
+  if (state.flows.empty()) return;  // this node has received nothing yet
+  Flow& f = state.flows[static_cast<std::size_t>(desc.dst)];
+  desc.ack_cum = f.cum;
+  desc.ack_bits =
+      f.ooo == 0 ? 0u : static_cast<std::uint32_t>(state.bitmaps[f.ooo - 1][0]);
+  if (f.ack_pending) {
+    f.ack_pending = 0;
+    ++state.stats.acks_piggybacked;
   }
 }
 
+void ReliableClient::schedule_ack(Rank node, Rank sender, Flow& f) {
+  f.ack_pending = 1;
+  if (f.flush_scheduled) return;
+  f.flush_scheduled = 1;
+  fabric_->schedule_timer(node, ack_delay_,
+                          kCookieFlag | kAckFlushBit | static_cast<std::uint32_t>(sender));
+}
+
 void ReliableClient::on_delivery(Rank node, const net::Packet& packet) {
+  NodeState& state = nodes_[static_cast<std::size_t>(node)];
   // Integrity first: a packet that fails the end-to-end checksum crossed a
   // Byzantine link, and nothing in it can be trusted — not the payload and
   // not the piggybacked acks. Reject it before any protocol state is
@@ -127,63 +253,48 @@ void ReliableClient::on_delivery(Rank node, const net::Packet& packet) {
   // a corrupted standalone ack is simply dropped and a later ack, or the
   // sender's own timeout, covers for it.
   if (packet.checksum != expected_checksum(packet)) {
-    ++stats_by_node_[static_cast<std::size_t>(node)].corrupt_rejected;
-    if (packet.seq != 0) {
-      ReceiverFlow& flow = recv_[static_cast<std::size_t>(node)][packet.src];
-      flow.ack_pending = true;
-      if (!flow.flush_scheduled) {
-        flow.flush_scheduled = true;
-        fabric_->schedule_timer(node, ack_delay_,
-                                kCookieFlag | kAckFlushBit |
-                                    static_cast<std::uint32_t>(packet.src));
-      }
-    }
+    ++state.stats.corrupt_rejected;
+    if (packet.seq != 0) schedule_ack(node, packet.src, flow(state, packet.src));
     return;
   }
   // Every packet — data, duplicate, or standalone ack — carries fresh ack
   // state for the reverse flow.
-  process_ack(node, packet.src, packet.ack_cum, packet.ack_bits);
+  process_ack(state, packet.src, packet.ack_cum, packet.ack_bits);
   if (packet.seq == 0) return;  // standalone ack: header only, no payload
 
-  ReceiverFlow& flow = recv_[static_cast<std::size_t>(node)][packet.src];
+  Flow& f = flow(state, packet.src);
   const std::uint32_t seq = packet.seq;
-  const bool duplicate = seq <= flow.cum || flow.ooo.count(seq) != 0;
-  if (duplicate) {
-    ++stats_by_node_[static_cast<std::size_t>(node)].duplicates_dropped;
+  if (seq <= f.cum || received_above_cum(state, f, seq)) {
+    ++state.stats.duplicates_dropped;
   } else {
-    flow.ooo.insert(seq);
-    while (flow.ooo.erase(flow.cum + 1) != 0) ++flow.cum;
+    accept(state, f, seq);
     inner_->on_delivery(node, packet);
   }
   // Ack (or re-ack — the previous ack may itself have been lost): piggyback
   // on the next reverse data packet, or flush standalone after the delay.
-  flow.ack_pending = true;
-  if (!flow.flush_scheduled) {
-    flow.flush_scheduled = true;
-    fabric_->schedule_timer(node, ack_delay_,
-                            kCookieFlag | kAckFlushBit |
-                                static_cast<std::uint32_t>(packet.src));
-  }
+  schedule_ack(node, packet.src, f);
 }
 
-void ReliableClient::process_ack(Rank node, Rank peer, std::uint32_t cum,
+void ReliableClient::process_ack(NodeState& state, Rank peer, std::uint32_t cum,
                                  std::uint32_t bits) {
-  auto& flows = send_[static_cast<std::size_t>(node)];
-  const auto it = flows.find(peer);
-  if (it == flows.end()) return;
-  SenderFlow& flow = it->second;
-  auto& unacked = flow.unacked;
-  while (!unacked.empty() && unacked.begin()->first <= cum) {
-    unacked.erase(unacked.begin());
-    --unacked_count_[static_cast<std::size_t>(node)];
+  if (state.flows.empty()) return;
+  Flow& f = state.flows[static_cast<std::size_t>(peer)];
+  if (f.window == 0) return;
+  Window& window = state.windows[f.window - 1];
+  std::uint32_t released = 0;
+  // Cumulative part: everything up to cum (never past what was sent).
+  const std::uint32_t stop = cum < window.end ? cum + 1 : window.end;
+  for (std::uint32_t seq = window.base; seq < stop; ++seq) {
+    if (state.release(window, seq)) ++released;
   }
-  for (int b = 0; b < 32 && bits != 0; ++b) {
-    if ((bits >> b) & 1) {
-      if (unacked.erase(cum + 1 + static_cast<std::uint32_t>(b)) != 0) {
-        --unacked_count_[static_cast<std::size_t>(node)];
-      }
-    }
+  // Selective part: bit b acknowledges cum + 1 + b.
+  for (; bits != 0; bits &= bits - 1) {
+    const auto b = static_cast<std::uint32_t>(std::countr_zero(bits));
+    if (state.release(window, cum + 1 + b)) ++released;
   }
+  state.trim(window);
+  state.unacked -= released;
+  if (window.live == 0) close_window(state, f);
 }
 
 void ReliableClient::on_timer(Rank node, std::uint64_t cookie) {
@@ -199,10 +310,11 @@ void ReliableClient::on_timer(Rank node, std::uint64_t cookie) {
 }
 
 void ReliableClient::ack_flush(Rank node, Rank sender) {
-  ReceiverFlow& flow = recv_[static_cast<std::size_t>(node)][sender];
-  flow.flush_scheduled = false;
-  if (!flow.ack_pending) return;  // a data packet carried it meanwhile
-  flow.ack_pending = false;
+  NodeState& state = nodes_[static_cast<std::size_t>(node)];
+  Flow& f = flow(state, sender);
+  f.flush_scheduled = 0;
+  if (!f.ack_pending) return;  // a data packet carried it meanwhile
+  f.ack_pending = 0;
   if (!routable(node, sender, net::RoutingMode::kAdaptive)) return;
   net::InjectDesc ack;
   ack.dst = sender;
@@ -210,36 +322,51 @@ void ReliableClient::ack_flush(Rank node, Rank sender) {
   ack.wire_chunks = 1;  // the 8 B proto header rides in one 32 B chunk
   ack.mode = net::RoutingMode::kAdaptive;
   ack.fifo = 0;
-  ready_[static_cast<std::size_t>(node)].push_back(ack);
-  ++stats_by_node_[static_cast<std::size_t>(node)].acks_standalone;
+  state.ready.push_back(ack);
+  ++state.stats.acks_standalone;
   fabric_->wake_cpu(node);
 }
 
 void ReliableClient::arm_scan(Rank node) {
-  if (scan_armed_[static_cast<std::size_t>(node)]) return;
-  scan_armed_[static_cast<std::size_t>(node)] = 1;
+  NodeState& state = nodes_[static_cast<std::size_t>(node)];
+  if (state.scan_armed) return;
+  state.scan_armed = true;
   fabric_->schedule_timer(node, scan_period_, kCookieFlag);
 }
 
 void ReliableClient::scan(Rank node) {
-  scan_armed_[static_cast<std::size_t>(node)] = 0;
+  NodeState& state = nodes_[static_cast<std::size_t>(node)];
+  state.scan_armed = false;
   const Tick now = fabric_->now();
   bool emitted = false;
-  for (auto& [peer, flow] : send_[static_cast<std::size_t>(node)]) {
-    for (auto it = flow.unacked.begin(); it != flow.unacked.end();) {
-      Pending& pending = it->second;
+  if (state.active_unsorted) {
+    std::sort(state.active.begin(), state.active.end());
+    state.active_unsorted = false;
+  }
+  // Ascending peer, then ascending sequence: retransmissions enter the ready
+  // queue in a fixed order, independent of how the windows were filled.
+  std::size_t kept = 0;
+  for (const Rank peer : state.active) {
+    Flow& f = state.flows[static_cast<std::size_t>(peer)];
+    if (f.window == 0) {  // fully acked since it was listed
+      f.listed = 0;
+      continue;
+    }
+    Window& window = state.windows[f.window - 1];
+    for (std::uint32_t seq = window.base; seq != window.end; ++seq) {
+      Pending& pending = state.slot(window, seq);
+      if (pending.tries == 0) continue;
       const int backoff = std::min(pending.tries - 1, 6);
       const Tick patience = rto_ << backoff;
-      if (now - pending.sent_at < patience) {
-        ++it;
-        continue;
-      }
-      if (pending.tries > max_retries_ ||
-          !routable(node, peer, pending.desc.mode)) {
-        ++stats_by_node_[static_cast<std::size_t>(node)].gave_up;
-        abandoned_by_node_[static_cast<std::size_t>(node)].push_back(peer);
-        --unacked_count_[static_cast<std::size_t>(node)];
-        it = flow.unacked.erase(it);
+      if (now - pending.sent_at < patience) continue;
+      if (pending.tries > max_retries_ || !routable(node, peer, pending.desc.mode)) {
+        ++state.stats.gave_up;
+        if (!f.abandoned) {
+          f.abandoned = 1;
+          state.abandoned.push_back(peer);
+        }
+        state.release(window, seq);
+        --state.unacked;
         continue;
       }
       ++pending.tries;
@@ -247,17 +374,23 @@ void ReliableClient::scan(Rank node) {
       // A retransmission is a new transmission attempt for the fault hash:
       // stamp the attempt counter so the counter-based drop draw re-rolls
       // instead of deterministically re-dropping the copy at the same hop.
-      pending.desc.attempt = static_cast<std::uint8_t>(
-          std::min(pending.tries - 1, 255));
-      ready_[static_cast<std::size_t>(node)].push_back(pending.desc);
-      ++stats_by_node_[static_cast<std::size_t>(node)].retransmits;
+      pending.desc.attempt = static_cast<std::uint8_t>(std::min(pending.tries - 1, 255));
+      state.ready.push_back(pending.desc);
+      ++state.stats.retransmits;
       emitted = true;
-      ++it;
+    }
+    state.trim(window);
+    if (window.live == 0) {  // its last packets were abandoned
+      close_window(state, f);
+      f.listed = 0;
+    } else {
+      state.active[kept++] = peer;
     }
   }
+  state.active.resize(kept);
   if (emitted) fabric_->wake_cpu(node);
   // Re-arm only while something is unacked, so a finished run quiesces.
-  if (unacked_count_[static_cast<std::size_t>(node)] > 0) arm_scan(node);
+  if (state.unacked > 0) arm_scan(node);
 }
 
 }  // namespace bgl::rt

@@ -3,8 +3,8 @@
 // ReliableClient wraps a strategy's fabric client and adds, per ordered
 // (injector, destination) pair:
 //   - sequence numbers stamped into the packet's 8 B proto header,
-//   - receiver-side duplicate suppression (cumulative counter + an
-//     out-of-order set),
+//   - receiver-side duplicate suppression (cumulative counter + a bitmap of
+//     the sequences received above it),
 //   - acknowledgements: every data packet piggybacks the current cumulative
 //     ack + a 32-bit SACK bitmap for its reverse flow; when no reverse
 //     traffic appears within an ack delay, a standalone 1-chunk ack packet
@@ -24,13 +24,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "src/network/fabric.hpp"
+#include "src/network/packet_ring.hpp"
 
 namespace bgl::rt {
 
@@ -69,7 +67,8 @@ class ReliableClient final : public net::Client {
   /// the accessors sum the shards instead of returning a shared counter.
   ReliabilityStats stats() const noexcept {
     ReliabilityStats total;
-    for (const ReliabilityStats& s : stats_by_node_) {
+    for (const NodeState& state : nodes_) {
+      const ReliabilityStats& s = state.stats;
       total.data_sequenced += s.data_sequenced;
       total.retransmits += s.retransmits;
       total.gave_up += s.gave_up;
@@ -82,12 +81,13 @@ class ReliableClient final : public net::Client {
   }
 
   /// Ordered (injector, destination) pairs with at least one abandoned
-  /// packet; data for these pairs is incomplete despite being routable.
-  /// Ordered by injector rank, then abandonment time within the rank.
+  /// packet, each listed once; data for these pairs is incomplete despite
+  /// being routable. Ordered by injector rank, then by the time the pair's
+  /// first packet was abandoned.
   std::vector<std::pair<Rank, Rank>> abandoned_pairs() const {
     std::vector<std::pair<Rank, Rank>> out;
-    for (Rank n = 0; n < static_cast<Rank>(abandoned_by_node_.size()); ++n) {
-      for (const Rank peer : abandoned_by_node_[static_cast<std::size_t>(n)]) {
+    for (Rank n = 0; n < static_cast<Rank>(nodes_.size()); ++n) {
+      for (const Rank peer : nodes_[static_cast<std::size_t>(n)].abandoned) {
         out.emplace_back(n, peer);
       }
     }
@@ -103,27 +103,92 @@ class ReliableClient final : public net::Client {
   struct Pending {
     net::InjectDesc desc{};  // re-emittable copy, sequence number included
     Tick sent_at = 0;
-    int tries = 1;  // sends so far
+    int tries = 0;  // sends so far; 0 marks a free (acked or abandoned) slot
   };
-  struct SenderFlow {
-    std::uint32_t next_seq = 0;
-    std::map<std::uint32_t, Pending> unacked;
+
+  /// A sender's unacked packets: sequences [base, end) in a power-of-two
+  /// block of the node's slot arena, indexed by seq & (capacity - 1). Slots
+  /// acked out of order (SACK) are holes with tries == 0; `base` is advanced
+  /// past leading holes, so it is either the oldest unacked sequence or
+  /// `end`.
+  struct Window {
+    std::uint32_t base = 0;
+    std::uint32_t end = 0;       // next sequence the flow will assign
+    std::uint32_t live = 0;      // unacked packets in [base, end)
+    std::uint32_t offset = 0;    // first slot of its block in NodeState::slots
+    std::uint32_t capacity = 0;  // block size, a power of two (0 = no block)
   };
-  struct ReceiverFlow {
-    std::uint32_t cum = 0;            // all of 1..cum delivered to the app
-    std::set<std::uint32_t> ooo;      // received above the cumulative point
-    bool ack_pending = false;
-    bool flush_scheduled = false;
+
+  /// Both directions of one (node, peer) pair. A node's table is dense over
+  /// all peers, so an entry is kept to 16 bytes: windows and out-of-order
+  /// bitmaps live in the node's pools and are referenced by 1-based index
+  /// (0 = none), and an idle flow owns neither.
+  struct Flow {
+    std::uint32_t next_seq = 0;  // sender: last sequence assigned
+    std::uint32_t window = 0;    // sender: 1 + index into NodeState::windows
+    std::uint32_t cum = 0;       // receiver: all of 1..cum delivered to the app
+    /// Receiver: 1 + index into NodeState::bitmaps, whose bit i is set when
+    /// sequence cum + 1 + i arrived; its low 32 bits are the wire SACK.
+    std::uint32_t ooo : 28 = 0;
+    std::uint32_t ack_pending : 1 = 0;
+    std::uint32_t flush_scheduled : 1 = 0;
+    std::uint32_t abandoned : 1 = 0;  // sender: pair already reported
+    std::uint32_t listed : 1 = 0;     // sender: peer is in NodeState::active
+  };
+  static_assert(sizeof(Flow) == 16);
+
+  struct NodeState {
+    std::vector<Flow> flows;  // indexed by peer; empty until first used
+    std::vector<Window> windows;
+    std::vector<std::uint32_t> free_windows;
+    /// Arena holding every window's block; a block a window outgrew waits
+    /// in free_blocks[log2(capacity)]. Every slot outside a window's live
+    /// range has tries == 0, so a recycled block is ready to use.
+    std::vector<Pending> slots;
+    std::vector<std::vector<std::uint32_t>> free_blocks;
+    std::vector<std::vector<std::uint64_t>> bitmaps;
+    std::vector<std::uint32_t> free_bitmaps;
+    /// Peers whose flow has had unacked data since the last scan; a flow
+    /// whose window empties stays listed until the scan drops it. The scan
+    /// sorts the list and walks it in ascending peer order, then each
+    /// window in ascending sequence order — the order that makes every
+    /// retransmission decision deterministic.
+    std::vector<Rank> active;
+    bool active_unsorted = false;
+    net::RingQueue<net::InjectDesc> ready;  // acks + retransmits
+    std::uint32_t unacked = 0;
+    bool scan_armed = false;
+    ReliabilityStats stats;
+    std::vector<Rank> abandoned;  // peers, in first-abandonment order
+
+    Pending& slot(const Window& window, std::uint32_t seq) noexcept {
+      return slots[window.offset + (seq & (window.capacity - 1))];
+    }
+    /// Appends sequence window.end, moving the window to a block twice the
+    /// size when it is full.
+    void push(Window& window, const Pending& pending);
+    /// Frees the slot of `seq` if it holds an unacked packet; true if it did.
+    bool release(Window& window, std::uint32_t seq) noexcept;
+    void trim(Window& window) noexcept;
   };
 
   bool routable(Rank from, Rank to, net::RoutingMode mode) const;
+  Flow& flow(NodeState& state, Rank peer);
+  Window& open_window(NodeState& state, Flow& flow, Rank peer);
+  /// Returns an empty window to the node's pool (it keeps its block).
+  static void close_window(NodeState& state, Flow& flow);
+  /// Records an in-order-or-later receipt of `seq` on the receiver side.
+  void accept(NodeState& state, Flow& flow, std::uint32_t seq);
+  static bool received_above_cum(const NodeState& state, const Flow& flow,
+                                 std::uint32_t seq) noexcept;
   void arm_scan(Rank node);
   void scan(Rank node);
   void ack_flush(Rank node, Rank sender);
-  void process_ack(Rank node, Rank peer, std::uint32_t cum, std::uint32_t bits);
+  void schedule_ack(Rank node, Rank sender, Flow& flow);
+  void process_ack(NodeState& state, Rank peer, std::uint32_t cum, std::uint32_t bits);
   /// Stamps the current receiver state for flow (desc.dst -> node) into the
   /// outgoing descriptor's ack fields.
-  void refresh_ack(Rank node, net::InjectDesc& desc);
+  void refresh_ack(NodeState& state, net::InjectDesc& desc);
 
   net::Client* inner_;
   net::Fabric* fabric_ = nullptr;
@@ -132,17 +197,8 @@ class ReliableClient final : public net::Client {
   Tick scan_period_;
   int max_retries_;
 
-  // All per-node containers are std::map keyed by peer rank so iteration
-  // order (and therefore every retransmission decision) is deterministic.
-  std::vector<std::map<Rank, SenderFlow>> send_;
-  std::vector<std::map<Rank, ReceiverFlow>> recv_;
-  std::vector<std::deque<net::InjectDesc>> ready_;  // acks + retransmits
-  std::vector<std::uint32_t> unacked_count_;
-  std::vector<std::uint8_t> scan_armed_;
-
-  // Sharded per injector node so concurrent slabs never share a counter.
-  std::vector<ReliabilityStats> stats_by_node_;
-  std::vector<std::vector<Rank>> abandoned_by_node_;
+  // One entry per node; only the slab owning a node touches its entry.
+  std::vector<NodeState> nodes_;
 };
 
 }  // namespace bgl::rt

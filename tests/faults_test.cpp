@@ -236,5 +236,43 @@ TEST(FaultPlan, RoutabilityIsStableAcrossCalls) {
   }
 }
 
+TEST(FaultPlan, RouteMemoKeysAreExactAcrossGrowthAndClear) {
+  // Keys that differ only in mode, in the sign of one hop, or in which axis
+  // holds a hop must never alias, before and after the table grows, and
+  // clear() must forget every answer.
+  FaultPlan::RouteMemo memo;
+  const auto answer = [](topo::Rank node, int mode, int h) {
+    return ((node * 7 + mode * 3 + h) % 5) < 2;
+  };
+  const auto hops_for = [](int h) {
+    return HopVec{static_cast<std::int16_t>(h), static_cast<std::int16_t>(-h),
+                  static_cast<std::int16_t>(h % 3), static_cast<std::int16_t>(-(h % 4))};
+  };
+  for (topo::Rank node = 0; node < 40; ++node) {
+    for (int mode = 0; mode < 2; ++mode) {
+      for (int h = -20; h <= 20; ++h) {
+        const auto m = static_cast<RoutingMode>(mode);
+        ASSERT_EQ(memo.find(node, m, hops_for(h)), -1);
+        memo.insert(node, m, hops_for(h), answer(node, mode, h));
+      }
+    }
+  }
+  for (topo::Rank node = 0; node < 40; ++node) {
+    for (int mode = 0; mode < 2; ++mode) {
+      for (int h = -20; h <= 20; ++h) {
+        EXPECT_EQ(memo.find(node, static_cast<RoutingMode>(mode), hops_for(h)),
+                  answer(node, mode, h) ? 1 : 0);
+      }
+    }
+  }
+  EXPECT_EQ(memo.find(40, RoutingMode::kAdaptive, hops_for(1)), -1);
+  EXPECT_EQ(memo.find(0, RoutingMode::kAdaptive, HopVec{0, 1, 0, 0}), -1);
+  memo.clear();
+  EXPECT_EQ(memo.find(3, RoutingMode::kDeterministic, hops_for(5)), -1);
+  memo.insert(3, RoutingMode::kDeterministic, hops_for(5), true);
+  EXPECT_EQ(memo.find(3, RoutingMode::kDeterministic, hops_for(5)), 1);
+  EXPECT_EQ(memo.find(3, RoutingMode::kAdaptive, hops_for(5)), -1);
+}
+
 }  // namespace
 }  // namespace bgl::net

@@ -12,6 +12,7 @@
 
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,10 @@ struct RelParam {
   RelCase c;
   int threads;
 };
+
+void PrintTo(const RelParam& param, std::ostream* os) {
+  *os << param.c.name << " at " << param.threads << " thread(s)";
+}
 
 class ReliabilityEquivalence : public ::testing::TestWithParam<RelParam> {};
 

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 
+#include "src/network/fabric.hpp"
 #include "src/network/faults.hpp"
+#include "src/runtime/reliability.hpp"
 #include "src/topology/torus.hpp"
 
 namespace bgl::coll {
@@ -141,6 +144,57 @@ TEST(Reliability, ExhaustedRetryBudgetIsReportedNotHung) {
   EXPECT_GT(r.abandoned_pairs, 0u);
   EXPECT_FALSE(r.reachable_complete);
   EXPECT_LT(r.pairs_complete, all_pairs(options));
+}
+
+// Sends `packets` single-chunk packets from node 0 to node 1 and nothing else.
+class OneFlowClient final : public net::Client {
+ public:
+  explicit OneFlowClient(int packets) : left_(packets) {}
+  bool next_packet(topo::Rank node, net::InjectDesc& out) override {
+    if (node != 0 || left_ == 0) return false;
+    --left_;
+    out.dst = 1;
+    out.payload_bytes = 32;
+    out.wire_chunks = 1;
+    return true;
+  }
+  void on_delivery(topo::Rank, const net::Packet&) override {}
+
+ private:
+  int left_;
+};
+
+TEST(Reliability, AbandonedMultiPacketFlowCountsItsPairOnce) {
+  // Every data packet is dropped and the budget allows no retry, so each of
+  // the flow's packets is abandoned on its first timeout — yet it is one
+  // (injector, destination) pair.
+  net::NetworkConfig net;
+  net.shape = topo::parse_shape("4");
+  net.faults = net::parse_fault_spec("drop:1,retries:0,rto:2000");
+  OneFlowClient inner(6);
+  rt::ReliableClient reliable(net, inner);
+  net::Fabric fabric(net, reliable);
+  reliable.attach(fabric);
+  ASSERT_TRUE(fabric.run());
+  EXPECT_EQ(reliable.stats().gave_up, 6u);
+  const auto pairs = reliable.abandoned_pairs();
+  ASSERT_EQ(pairs.size(), 1u);
+  EXPECT_EQ(pairs[0], std::make_pair(topo::Rank{0}, topo::Rank{1}));
+}
+
+TEST(Reliability, AbandonedPairsNeverExceedReachablePairs) {
+  // 1 KB messages are five packets per pair, and at this drop rate with no
+  // retries most pairs lose several of them.
+  const auto options = options_for("3x3x3", 1024, "drop:0.08,retries:0,rto:2000,seed:2");
+  const RunResult r = run_alltoall(StrategyKind::kAdaptiveRandom, options);
+  ASSERT_TRUE(r.drained);
+  const std::uint64_t reachable = all_pairs(options) - r.unreachable_pairs;
+  EXPECT_LT(r.abandoned_pairs, r.reliability.gave_up);
+  EXPECT_LE(r.abandoned_pairs, reachable);
+  // Every incomplete pair lost at least one packet to the budget (there are
+  // no permanent faults); a complete pair may also appear when only its ack
+  // was lost and the sender gave up on a delivered packet.
+  EXPECT_GE(r.abandoned_pairs, reachable - r.pairs_complete);
 }
 
 // --- determinism ----------------------------------------------------------

@@ -395,10 +395,10 @@ void Fabric::apply_boundary(Shard& dst, const BoundaryMsg& msg) {
   shard_ctx_ = &dst;
   if (msg.is_credit) {
     buffer_free_[static_cast<std::size_t>(msg.buf)] += msg.chunks;
-    // The wake fires no earlier than the receiving slab's clock: a boundary
-    // credit may thus act up to one window later than an in-slab return
-    // would have (the documented timing relaxation of the parallel run).
-    schedule_arb_if_idle(msg.node, msg.port, std::max(msg.at, dst.now));
+    // The wake fires at the next window start: a boundary credit acts at
+    // most one window (W) later than an in-slab return would have (the
+    // documented timing relaxation of the parallel run).
+    schedule_arb_if_idle(msg.node, msg.port, window_end_);
   } else {
     const std::uint32_t slot = alloc_flight_slot();
     FlightSlot& flight = dst.flights[slot];

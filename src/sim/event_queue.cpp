@@ -101,8 +101,11 @@ std::optional<Event> TimingWheel::pop_if_at_most(Tick deadline) {
     bucket.clear();
     bucket_pos_ = 0;
 
+    // The cursor never passes the deadline: whoever stops here at `deadline`
+    // may still push events at any later tick, and they must fire at it.
+    if (cursor_ >= deadline) return std::nullopt;
     if (count_ == 0) {
-      if (overflow_.empty()) return std::nullopt;
+      if (overflow_.empty() || overflow_.next_time() > deadline) return std::nullopt;
       // Jump over the empty span straight to the next overflow event.
       cursor_ = overflow_.next_time();
     } else {

@@ -146,6 +146,23 @@ TEST(TimingWheel, PastPushClampsToCursor) {
   EXPECT_EQ(e->time, 50u);
 }
 
+TEST(TimingWheel, ShortDeadlineKeepsLaterPushesOnTime) {
+  // A slab whose only event is a far timer stops at its window deadline d;
+  // a boundary handoff pushed at d + 1 afterwards must fire at d + 1, not
+  // at the timer's tick. The far event waits in a bucket, then in overflow.
+  for (const Tick far : {Tick{900}, Tick{50000}}) {
+    TimingWheel wheel(1024);
+    wheel.push(far, 0, 0, 0);
+    EXPECT_FALSE(wheel.pop_if_at_most(100).has_value());
+    wheel.push(101, 1, 0, 0);
+    const auto e = wheel.pop_if_at_most(~Tick{0});
+    ASSERT_TRUE(e.has_value());
+    EXPECT_EQ(e->time, 101u) << "far event at " << far;
+    EXPECT_EQ(e->type, 1u);
+    EXPECT_EQ(wheel.pop_if_at_most(~Tick{0})->time, far);
+  }
+}
+
 /// Property: the wheel and the reference heap produce the identical event
 /// sequence for a random interleaved workload of pushes and pops.
 class WheelEquivalence : public ::testing::TestWithParam<std::uint64_t> {};

@@ -349,7 +349,7 @@ void Fabric::barrier_phase(Tick deadline) noexcept {
   }
   for (Shard& src : shards_) {
     for (std::size_t d = 0; d < src.outbox.size(); ++d) {
-      for (const BoundaryMsg& msg : src.outbox[d]) apply_boundary(shards_[d], msg);
+      for (const BoundaryMsg& msg : src.outbox[d]) apply_boundary(src, shards_[d], msg);
       src.outbox[d].clear();
     }
   }
@@ -391,7 +391,7 @@ void Fabric::advance_window(Tick deadline) {
   for (Shard& shard : shards_) shard.now = std::max(shard.now, min_next);
 }
 
-void Fabric::apply_boundary(Shard& dst, const BoundaryMsg& msg) {
+void Fabric::apply_boundary(Shard& src, Shard& dst, const BoundaryMsg& msg) {
   shard_ctx_ = &dst;
   if (msg.is_credit) {
     buffer_free_[static_cast<std::size_t>(msg.buf)] += msg.chunks;
@@ -400,6 +400,9 @@ void Fabric::apply_boundary(Shard& dst, const BoundaryMsg& msg) {
     // documented timing relaxation of the parallel run).
     schedule_arb_if_idle(msg.node, msg.port, window_end_);
   } else {
+    // The packet now belongs to the receiving slab's census.
+    --src.in_network;
+    ++dst.in_network;
     const std::uint32_t slot = alloc_flight_slot();
     FlightSlot& flight = dst.flights[slot];
     flight.packet = msg.packet;
@@ -1233,30 +1236,30 @@ void Fabric::arm_sweep() {
 
 void Fabric::stuck_sweep() {
   if (shard_ctx_ != nullptr) {
-    // Parallel: sweep only the slab's own nodes. The shard's in_network is a
-    // delta (not a census), so occupancy of the owned queues drives re-arm.
+    // Parallel: sweep only the slab's own nodes, buffers first and then
+    // FIFOs, both in index order, and re-arm while the slab holds packets.
     Shard& shard = *shard_ctx_;
     shard.sweep_scheduled = false;
     const Tick cutoff = now() >= stuck_cycles_ ? now() - stuck_cycles_ : 0;
-    bool occupied = false;
     for (Rank n = 0; n < torus_.nodes(); ++n) {
       if (node_slab_[static_cast<std::size_t>(n)] != shard.id) continue;
       for (int p = 0; p < dirs_; ++p) {
         for (int vc = 0; vc < vcs_; ++vc) {
           const std::size_t b = static_cast<std::size_t>(buf_id(n, p, vc));
           while (!buffers_[b].empty() && head_since_[b] <= cutoff) drop_buffer_head(b);
-          occupied = occupied || !buffers_[b].empty();
         }
       }
+    }
+    for (Rank n = 0; n < torus_.nodes(); ++n) {
+      if (node_slab_[static_cast<std::size_t>(n)] != shard.id) continue;
       for (int f = 0; f < fifo_count_; ++f) {
         const std::size_t fid = static_cast<std::size_t>(fifo_id(n, f));
         while (!fifos_[fid].empty() && fifo_head_since_[fid] <= cutoff) {
           drop_fifo_head(n, f);
         }
-        occupied = occupied || !fifos_[fid].empty();
       }
     }
-    if (occupied) {
+    if (shard.in_network > 0) {
       shard.sweep_scheduled = true;
       post(now() + stuck_cycles_, kEvSweep);
     }

@@ -351,6 +351,9 @@ class Fabric : public sim::EventHandler {
     std::vector<std::uint32_t> free_flights;
     util::Xoshiro256StarStar rng;
     FabricStats stats;
+    /// Packets the slab holds: queued in its FIFOs and buffers, in flight in
+    /// its arena, or waiting in its outbox. A cross-slab handoff moves one
+    /// count from the sender to the receiver at the barrier.
     std::int64_t in_network = 0;
     /// Outgoing messages, indexed by destination shard.
     std::vector<std::vector<BoundaryMsg>> outbox;
@@ -409,7 +412,7 @@ class Fabric : public sim::EventHandler {
   bool run_parallel(int threads, Tick deadline);
   void setup_shards(int threads);
   void shard_step(Shard& shard);
-  void apply_boundary(Shard& dst, const BoundaryMsg& msg);
+  void apply_boundary(Shard& src, Shard& dst, const BoundaryMsg& msg);
   void barrier_phase(Tick deadline) noexcept;
   void advance_window(Tick deadline);
   void merge_shard_stats();

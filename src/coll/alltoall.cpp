@@ -57,24 +57,19 @@ net::NetworkConfig effective_net(const AlltoallOptions& options) {
 // Shared back half of run_alltoall/run_schedule: the slab-parallel
 // eligibility gate, the reliability wrapper, the fabric run and the
 // RunResult bookkeeping.
-RunResult finish_run(net::NetworkConfig net, StrategyClient& client,
+RunResult finish_run(net::NetworkConfig net, ScheduleExecutor& client,
                      const AlltoallOptions& options, const net::FaultPlan& plan,
                      const net::FaultPlan* faults, DeliveryMatrix* matrix,
                      const std::string& label) {
   // Eligibility gate for the slab-parallel core (see DESIGN.md "Threading
   // model"). Fault runs are parallel-eligible now that every stochastic
   // fault decision is counter-based and fault state is slab-owned; what
-  // still needs one global event order is the legacy (non-executor) client
-  // path and schedules with cross-node dependency gates.
+  // still needs one global event order is a schedule with cross-node
+  // dependency gates, which runs as one slab.
   auto coll_fallback = net::ThreadFallbackReason::kNone;
-  if (net.sim_threads > 1) {
-    const auto* executor = dynamic_cast<const ScheduleExecutor*>(&client);
-    if (executor == nullptr) {
-      coll_fallback = net::ThreadFallbackReason::kLegacyClient;
-    } else if (!executor->schedule().extra_deps.empty()) {
-      coll_fallback = net::ThreadFallbackReason::kCrossNodeDeps;
-    }
-    if (coll_fallback != net::ThreadFallbackReason::kNone) net.sim_threads = 1;
+  if (net.sim_threads > 1 && !client.schedule().extra_deps.empty()) {
+    coll_fallback = net::ThreadFallbackReason::kCrossNodeDeps;
+    net.sim_threads = 1;
   }
 
   // Under faults the strategy is wrapped in the end-to-end reliability

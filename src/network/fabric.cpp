@@ -17,18 +17,16 @@ constexpr int axis_of(int dir) noexcept { return dir / 2; }
 constexpr int sign_of(int dir) noexcept { return (dir % 2 == 0) ? +1 : -1; }
 constexpr int dir_index(int axis, int sign) noexcept { return axis * 2 + (sign > 0 ? 0 : 1); }
 
-/// Events between watchdog polls on a parallel worker (mirrors
-/// sim::Engine::kAbortPollMask).
-constexpr std::uint64_t kMtPollMask = 0x1fff;
+/// Events between watchdog polls on a slab worker (power of two; a
+/// steady_clock read every ~8k events is noise even for micro benches).
+constexpr std::uint64_t kPollMask = 0x1fff;
 
 }  // namespace
 
 Fabric::Fabric(const NetworkConfig& config, Client& client)
     : config_(config),
       torus_(config.shape),
-      client_(&client),
-      engine_(*this),
-      rng_(config.seed) {
+      client_(&client) {
   for (int a = 0; a < config_.shape.axis_count(); ++a) {
     // Route state is int16 signed hops per axis; a ring of 32768 peaks at
     // 16384 hops.
@@ -96,8 +94,7 @@ Fabric::Fabric(const NetworkConfig& config, Client& client)
 
   cpu_.resize(static_cast<std::size_t>(nodes));
 
-  engine_.set_strict(config_.debug_checks);
-  // Conservative lookahead of the parallel run: any cross-slab packet takes
+  // Conservative lookahead of a multi-slab run: any cross-slab packet takes
   // at least one chunk of serialization plus the hop latency, so a window of
   // that length can be simulated per slab without seeing a neighbor's events.
   window_cycles_ = static_cast<Tick>(config_.chunk_cycles) + config_.hop_latency_cycles;
@@ -131,24 +128,14 @@ void Fabric::init_faults() {
 }
 
 void Fabric::prime_fault_events() {
-  if (!faults_active_ || fault_events_scheduled_) return;
-  fault_events_scheduled_ = true;
+  if (!faults_active_) return;
   const FaultConfig& fc = config_.faults;
   const bool strike_pending =
       fc.fail_at > 0 &&
       fault_plan_.dead_link_count() + fault_plan_.dead_node_count() > 0;
-  if (shards_.empty()) {
-    if (strike_pending) engine_.schedule(fc.fail_at, kEvFault, kPermStrike, 0);
-    for (std::uint32_t i = 0; i < fault_plan_.transients().size(); ++i) {
-      const TransientOutage& outage = fault_plan_.transients()[i];
-      engine_.schedule(outage.down_at, kEvFault, i, 0);
-      engine_.schedule(outage.up_at, kEvFault, i, 1);
-    }
-    return;
-  }
-  // Parallel run: the strike goes to every slab (each applies its own slice
-  // of links, cores and in-flight packets); a transient outage goes to the
-  // owner slab(s) of its two directed ends.
+  // The strike goes to every slab (each applies its own slice of links,
+  // cores and in-flight packets); a transient outage goes to the owner
+  // slab(s) of its two directed ends.
   if (strike_pending) {
     for (Shard& shard : shards_) shard.wheel.push(fc.fail_at, kEvFault, kPermStrike, 0);
   }
@@ -168,25 +155,60 @@ void Fabric::prime_fault_events() {
 }
 
 bool Fabric::run(Tick deadline) {
-  const int threads = plan_threads();
-  if (threads > 1) return run_parallel(threads, deadline);
-  if (!primed_) {
-    primed_ = true;
-    prime_fault_events();
-    const int nodes = torus_.nodes();
-    for (Rank n = 0; n < nodes; ++n) {
-      CpuState& cpu = cpu_[static_cast<std::size_t>(n)];
-      if (faults_active_ && struck_ && !fault_plan_.node_alive(n)) {
-        cpu.idle = true;  // a dead node's core never pumps
-        continue;
-      }
-      cpu.pump_scheduled = true;
-      engine_.schedule(0, kEvCpu, static_cast<std::uint32_t>(n));
+  if (!primed_) prime(plan_threads());
+  done_ = false;
+  drained_ = false;
+  abort_flag_.store(false, std::memory_order_relaxed);
+  if (shards_.size() == 1) {
+    // One slab: the whole run is one unbounded window — no barrier, no
+    // next_time() scan, no extra thread.
+    Shard& shard = shards_.front();
+    shard_step(shard, deadline);
+    drained_ = !abort_flag_.load(std::memory_order_relaxed) && shard.wheel.empty();
+  } else {
+    advance_window(deadline);
+    if (!done_) {
+      const int threads = static_cast<int>(shards_.size());
+      std::barrier sync(threads, [this, deadline]() noexcept { barrier_phase(deadline); });
+      auto worker = [&](int index) {
+        Shard& shard = shards_[static_cast<std::size_t>(index)];
+        do {
+          shard_step(shard, window_end_ - 1);  // window_end_ is exclusive and >= 1
+          sync.arrive_and_wait();
+        } while (!done_);
+      };
+      std::vector<std::thread> pool;
+      pool.reserve(static_cast<std::size_t>(threads) - 1);
+      for (int i = 1; i < threads; ++i) pool.emplace_back(worker, i);
+      worker(0);
+      for (std::thread& t : pool) t.join();
     }
   }
-  const bool quiescent = engine_.run(deadline);
-  if (config_.debug_checks) run_debug_checks(quiescent);
-  return quiescent;
+  merge_shard_stats();
+  aborted_ = abort_flag_.load(std::memory_order_relaxed) && !error_;
+  if (error_) {
+    const std::exception_ptr error = error_;
+    error_ = nullptr;
+    std::rethrow_exception(error);
+  }
+  if (config_.debug_checks) run_debug_checks(drained_);
+  return drained_;
+}
+
+void Fabric::prime(int threads) {
+  setup_shards(threads);
+  primed_ = true;
+  prime_fault_events();
+  for (Rank n = 0; n < torus_.nodes(); ++n) {
+    CpuState& cpu = cpu_[static_cast<std::size_t>(n)];
+    if (faults_active_ && struck_ && !fault_plan_.node_alive(n)) {
+      cpu.idle = true;  // a dead node's core never pumps
+      continue;
+    }
+    cpu.pump_scheduled = true;
+    shards_[static_cast<std::size_t>(node_slab_[static_cast<std::size_t>(n)])]
+        .wheel.push(0, kEvCpu, static_cast<std::uint32_t>(n), 0);
+  }
 }
 
 int Fabric::plan_threads(ThreadFallbackReason* reason) const noexcept {
@@ -204,12 +226,6 @@ int Fabric::plan_threads(ThreadFallbackReason* reason) const noexcept {
   // buffers need no global event order.
   if (window_cycles_ == 0) {
     give(ThreadFallbackReason::kZeroWindow);
-    return 1;
-  }
-  // A run primed into the engine (an earlier single-threaded call) cannot
-  // migrate mid-flight.
-  if (primed_ && !mt_primed_) {
-    give(ThreadFallbackReason::kPrimedEngine);
     return 1;
   }
   const int extent = config_.shape.dim[static_cast<std::size_t>(slab_axis())];
@@ -247,88 +263,45 @@ void Fabric::setup_shards(int threads) {
   for (int i = 0; i < threads; ++i) {
     Shard& shard = shards_[static_cast<std::size_t>(i)];
     shard.id = i;
-    // Independent per-slab stream derived from the run seed, so a run is
-    // reproducible for a fixed (seed, sim_threads) pair.
+    // One slab draws the run seed's own stream. The slabs of an N-way cut
+    // draw independent streams derived from it, so a run is reproducible
+    // for a fixed (seed, sim_threads) pair.
     shard.rng = util::Xoshiro256StarStar(
-        config_.seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i + 1));
+        threads == 1 ? config_.seed
+                     : config_.seed +
+                           0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i + 1));
     shard.outbox.resize(static_cast<std::size_t>(threads));
     shard.struck = struck_;
   }
 }
 
-bool Fabric::run_parallel(int threads, Tick deadline) {
-  if (!mt_primed_) {
-    setup_shards(threads);
-    mt_primed_ = true;
-    primed_ = true;
-    prime_fault_events();
-    for (Rank n = 0; n < torus_.nodes(); ++n) {
-      CpuState& cpu = cpu_[static_cast<std::size_t>(n)];
-      if (faults_active_ && struck_ && !fault_plan_.node_alive(n)) {
-        cpu.idle = true;  // a dead node's core never pumps
-        continue;
-      }
-      cpu.pump_scheduled = true;
-      shards_[static_cast<std::size_t>(node_slab_[static_cast<std::size_t>(n)])]
-          .wheel.push(0, kEvCpu, static_cast<std::uint32_t>(n), 0);
-    }
-  }
-  mt_done_ = false;
-  mt_drained_ = false;
-  mt_aborted_ = false;
-  mt_abort_flag_.store(false, std::memory_order_relaxed);
-  advance_window(deadline);
-  if (!mt_done_) {
-    std::barrier sync(threads, [this, deadline]() noexcept { barrier_phase(deadline); });
-    auto worker = [&](int index) {
-      Shard& shard = shards_[static_cast<std::size_t>(index)];
-      for (;;) {
-        try {
-          shard_step(shard);
-        } catch (...) {
-          shard_ctx_ = nullptr;
-          {
-            const std::lock_guard<std::mutex> lock(mt_error_mutex_);
-            if (!mt_error_) mt_error_ = std::current_exception();
-          }
-          mt_abort_flag_.store(true, std::memory_order_relaxed);
-        }
-        sync.arrive_and_wait();
-        if (mt_done_) break;
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads) - 1);
-    for (int i = 1; i < threads; ++i) pool.emplace_back(worker, i);
-    worker(0);
-    for (std::thread& t : pool) t.join();
-  }
-  merge_shard_stats();
-  if (mt_error_) {
-    const std::exception_ptr error = mt_error_;
-    mt_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
-  if (config_.debug_checks) run_debug_checks(mt_drained_);
-  return mt_drained_;
-}
-
-void Fabric::shard_step(Shard& shard) {
+void Fabric::shard_step(Shard& shard, Tick limit) {
   shard_ctx_ = &shard;
-  const Tick limit = window_end_ - 1;  // window_end_ is exclusive and >= 1
-  while (auto event = shard.wheel.pop_if_at_most(limit)) {
-    shard.now = event->time;
-    ++shard.processed;
-    handle(*event);
-    if ((shard.processed & kMtPollMask) == 0) {
-      if (mt_abort_flag_.load(std::memory_order_relaxed)) break;
-      if (shard.id == 0 && abort_check_ && abort_check_()) {
-        mt_abort_flag_.store(true, std::memory_order_relaxed);
-        break;
+  try {
+    while (auto event = shard.wheel.pop_if_at_most(limit)) {
+      shard.now = event->time;
+      ++shard.processed;
+      handle(*event);
+      if ((shard.processed & kPollMask) == 0) {
+        if (abort_flag_.load(std::memory_order_relaxed)) break;
+        if (shard.id == 0 && abort_check_ && abort_check_()) {
+          abort_flag_.store(true, std::memory_order_relaxed);
+          break;
+        }
       }
     }
+  } catch (...) {
+    record_error(std::current_exception());
   }
   shard_ctx_ = nullptr;
+}
+
+void Fabric::record_error(std::exception_ptr error) noexcept {
+  {
+    const std::lock_guard<std::mutex> lock(error_mutex_);
+    if (!error_) error_ = std::move(error);
+  }
+  abort_flag_.store(true, std::memory_order_relaxed);
 }
 
 void Fabric::barrier_phase(Tick deadline) noexcept {
@@ -338,26 +311,21 @@ void Fabric::barrier_phase(Tick deadline) noexcept {
   // Hop-observer buffers drain first (they describe the window just
   // finished), then boundary messages in deterministic order: by source
   // shard, then destination, then insertion.
-  if (hop_observer_) {
-    try {
-      drain_hop_logs();
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(mt_error_mutex_);
-      if (!mt_error_) mt_error_ = std::current_exception();
-      mt_abort_flag_.store(true, std::memory_order_relaxed);
+  try {
+    if (hop_observer_) drain_hop_logs();
+    for (Shard& src : shards_) {
+      for (std::size_t d = 0; d < src.outbox.size(); ++d) {
+        for (const BoundaryMsg& msg : src.outbox[d]) apply_boundary(src, shards_[d], msg);
+        src.outbox[d].clear();
+      }
     }
-  }
-  for (Shard& src : shards_) {
-    for (std::size_t d = 0; d < src.outbox.size(); ++d) {
-      for (const BoundaryMsg& msg : src.outbox[d]) apply_boundary(src, shards_[d], msg);
-      src.outbox[d].clear();
-    }
+  } catch (...) {
+    record_error(std::current_exception());
   }
   shard_ctx_ = nullptr;
-  if (mt_abort_flag_.load(std::memory_order_relaxed)) {
-    mt_done_ = true;
-    mt_drained_ = false;
-    if (!mt_error_) mt_aborted_ = true;  // watchdog abort, not a worker error
+  if (abort_flag_.load(std::memory_order_relaxed)) {
+    done_ = true;
+    drained_ = false;
     return;
   }
   advance_window(deadline);
@@ -373,22 +341,19 @@ void Fabric::advance_window(Tick deadline) {
     }
   }
   if (!any) {
-    mt_done_ = true;
-    mt_drained_ = true;
+    done_ = true;
+    drained_ = true;
     return;
   }
   if (min_next > deadline) {
-    mt_done_ = true;
-    mt_drained_ = false;
+    done_ = true;
+    drained_ = false;
     return;
   }
   Tick end = min_next + window_cycles_;
   if (end < min_next) end = ~Tick{0};                          // saturate
   if (deadline != ~Tick{0} && end > deadline + 1) end = deadline + 1;
   window_end_ = end;
-  // Window starts never retreat a slab's own clock (a neighbor's boundary
-  // credit may hold the global minimum below a busier slab's local time).
-  for (Shard& shard : shards_) shard.now = std::max(shard.now, min_next);
 }
 
 void Fabric::apply_boundary(Shard& src, Shard& dst, const BoundaryMsg& msg) {
@@ -397,7 +362,7 @@ void Fabric::apply_boundary(Shard& src, Shard& dst, const BoundaryMsg& msg) {
     buffer_free_[static_cast<std::size_t>(msg.buf)] += msg.chunks;
     // The wake fires at the next window start: a boundary credit acts at
     // most one window (W) later than an in-slab return would have (the
-    // documented timing relaxation of the parallel run).
+    // documented timing relaxation of a multi-slab run).
     schedule_arb_if_idle(msg.node, msg.port, window_end_);
   } else {
     // The packet now belongs to the receiving slab's census.
@@ -474,7 +439,7 @@ void Fabric::merge_shard_stats() {
   }
   stats_ = total;
   in_network_ = net;
-  mt_events_ = events;
+  events_ = events;
   if (faults_active_) {
     fault_stats_ = ftotal;
     if (struck && !struck_) {
@@ -482,23 +447,6 @@ void Fabric::merge_shard_stats() {
       fault_plan_.invalidate_routes();
     }
   }
-}
-
-void Fabric::post(Tick at, std::uint32_t type, std::uint32_t a, std::uint64_t b) {
-  Shard* shard = shard_ctx_;
-  if (shard == nullptr) {
-    engine_.schedule(at, type, a, b);
-    return;
-  }
-  if (at < shard->now) {
-    if (config_.debug_checks) {
-      throw std::logic_error("Fabric::post into the past: type=" + std::to_string(type) +
-                             " at=" + std::to_string(at) +
-                             " now=" + std::to_string(shard->now));
-    }
-    at = shard->now;
-  }
-  shard->wheel.push(at, type, a, b);
 }
 
 void Fabric::run_debug_checks(bool quiescent) const {
@@ -837,8 +785,7 @@ void Fabric::arbitrate(int link) {
       // not ours the return travels as a boundary message instead.
       const Rank upstream = torus_.neighbor(node, topo::Direction::from_index(input ^ 1));
       const bool credit_cross =
-          shard_ctx_ != nullptr && upstream >= 0 &&
-          node_slab_[static_cast<std::size_t>(upstream)] != shard_ctx_->id;
+          upstream >= 0 && node_slab_[static_cast<std::size_t>(upstream)] != shard_ctx_->id;
       if (!credit_cross) buffer_free_[static_cast<std::size_t>(base + vc)] += credit;
       set_buffer_want(static_cast<std::size_t>(base + vc),
                       queue.empty() ? 0 : want_mask(queue.front()));
@@ -847,7 +794,6 @@ void Fabric::arbitrate(int link) {
       }
       if (credit_cross) {
         BoundaryMsg msg;
-        msg.at = now();
         msg.node = upstream;
         msg.buf = base + vc;
         msg.chunks = credit;
@@ -915,13 +861,13 @@ void Fabric::commit_grant(std::size_t lk, Rank node, int dir, Rank peer,
   granted.hops[static_cast<std::size_t>(axis)] =
       static_cast<std::int16_t>(granted.hops[static_cast<std::size_t>(axis)] - sign);
   if (hop_observer_) {
-    if (shard_ctx_ != nullptr) {
+    if (shards_.size() == 1) {
+      hop_observer_(granted, node, dir, target);
+    } else {
       // Buffered, not invoked: observers may touch cross-slab state, so the
       // replay happens single-threaded at the window barrier.
       shard_ctx_->hop_log.push_back(
           {now(), static_cast<std::uint32_t>(lk), target, granted});
-    } else {
-      hop_observer_(granted, node, dir, target);
     }
   }
   Tick busy = static_cast<Tick>(granted.chunks) * config_.chunk_cycles;
@@ -940,8 +886,7 @@ void Fabric::commit_grant(std::size_t lk, Rank node, int dir, Rank peer,
         (target == vc_bubble_ ? 1 : granted.chunks);
   }
   const Tick arrive_at = now() + busy + config_.hop_latency_cycles;
-  if (shard_ctx_ != nullptr &&
-      node_slab_[static_cast<std::size_t>(peer)] != shard_ctx_->id) {
+  if (node_slab_[static_cast<std::size_t>(peer)] != shard_ctx_->id) {
     // Cross-slab hop: the arrival tick is exact (serialization + hop latency
     // >= the lookahead window, so it lands at or past the next window start).
     BoundaryMsg msg;
@@ -977,7 +922,7 @@ void Fabric::on_arrival(std::uint32_t slot_index) {
   const bool link_died = flight.dropped;
   flight.dropped = false;
   flight.in_use = false;
-  (shard_ctx_ != nullptr ? shard_ctx_->free_flights : free_flights_).push_back(slot_index);
+  shard_ctx_->free_flights.push_back(slot_index);
 
   if (faults_active_) {
     // Counter-based per-packet fault draws: pure functions of the fault seed
@@ -1050,71 +995,26 @@ void Fabric::on_arrival(std::uint32_t slot_index) {
     set_buffer_want(buf, want_mask(packet));
     if (faults_active_) {
       head_since_[buf] = now();
-      // Parallel runs arm the sweep per slab: a slab that only relays (its
-      // own cores idle) would otherwise never arm its wedge backstop.
-      if (shard_ctx_ != nullptr) arm_sweep();
+      // A slab that only relays (its own cores idle) would otherwise never
+      // arm its wedge backstop. With one slab the sweep is already armed.
+      arm_sweep();
     }
     schedule_profitable_arbs(node, packet);
   }
 }
 
 void Fabric::on_fault_event(std::uint32_t a, std::uint64_t b) {
-  if (shard_ctx_ != nullptr) {
-    mt_fault_event(a, b);
-    return;
-  }
+  // Fault events are replicated to every slab they concern; each slab
+  // applies only the slice it owns, so no shared cell sees two writers:
+  // link down bits by the link's node owner, core state by the node owner,
+  // in-flight drops by an arena scan of the slab's own flights (a packet
+  // crossing a link can only sit in the arena of the granting or the
+  // receiving slab, both of which receive the event).
+  Shard& shard = *shard_ctx_;
   if (a == kPermStrike) {
     // The blind phase ends here: permanent state becomes consultable, links
     // die and fail-stopped cores halt (their queued descriptors die with
     // them; in-flight relay custody is what stranded_relay_bytes accounts).
-    struck_ = true;
-    fault_plan_.invalidate_routes();
-    for (std::size_t l = 0; l < link_peer_.size(); ++l) {
-      if (fault_plan_.link_dead(static_cast<int>(l))) {
-        set_link_state(static_cast<int>(l), /*down=*/true);
-      }
-    }
-    for (Rank n = 0; n < torus_.nodes(); ++n) {
-      if (fault_plan_.node_alive(n)) continue;
-      CpuState& cpu = cpu_[static_cast<std::size_t>(n)];
-      cpu.idle = true;
-      cpu.stalled = false;
-    }
-    // Traffic already committed into dead nodes can never drain on its own;
-    // the stuck sweep is the backstop that returns its credits.
-    arm_sweep();
-    if (config_.debug_checks) run_debug_checks(false);
-    return;
-  }
-  const TransientOutage& outage =
-      fault_plan_.transients()[static_cast<std::size_t>(a)];
-  // `outage.link` is the + direction port, so the paired reverse link is the
-  // matching - direction port on the peer.
-  const Rank peer = link_peer_[static_cast<std::size_t>(outage.link)];
-  const int dir = outage.link % dirs_;
-  const int reverse = link_id(peer, dir ^ 1);
-  const bool repaired = b != 0;
-  if (repaired) {
-    fault_stats_.link_down_cycles += outage.up_at - outage.down_at;
-    set_link_state(outage.link, false);
-    set_link_state(reverse, false);
-  } else {
-    ++fault_stats_.transient_strikes;
-    set_link_state(outage.link, true);
-    set_link_state(reverse, true);
-  }
-  if (config_.debug_checks) run_debug_checks(false);
-}
-
-void Fabric::mt_fault_event(std::uint32_t a, std::uint64_t b) {
-  // Parallel-run fault events are replicated to every slab they concern;
-  // each slab applies only the slice it owns, so no shared cell sees two
-  // writers: link down bits by the link's node owner, core state by the
-  // node owner, in-flight drops by an arena scan of the slab's own flights
-  // (a packet crossing a link can only sit in the arena of the granting or
-  // the receiving slab, both of which receive the event).
-  Shard& shard = *shard_ctx_;
-  if (a == kPermStrike) {
     shard.struck = true;
     shard.route_memo.clear();
     for (std::size_t l = 0; l < link_peer_.size(); ++l) {
@@ -1136,66 +1036,54 @@ void Fabric::mt_fault_event(std::uint32_t a, std::uint64_t b) {
       cpu.idle = true;
       cpu.stalled = false;
     }
+    // Traffic already committed into dead nodes can never drain on its own;
+    // the stuck sweep is the backstop that returns its credits.
     arm_sweep();
-    return;
-  }
-  const TransientOutage& outage =
-      fault_plan_.transients()[static_cast<std::size_t>(a)];
-  const Rank node_a = static_cast<Rank>(outage.link / dirs_);
-  const Rank node_b = link_peer_[static_cast<std::size_t>(outage.link)];
-  const int dir = outage.link % dirs_;
-  const int reverse = link_id(node_b, dir ^ 1);
-  const bool repaired = b != 0;
-  const bool own_a = node_slab_[static_cast<std::size_t>(node_a)] == shard.id;
-  const bool own_b = node_slab_[static_cast<std::size_t>(node_b)] == shard.id;
-  if (own_a) {
-    // One bookkeeper per outage: the + end's owner counts it.
-    if (repaired) {
-      shard.fstats.link_down_cycles += outage.up_at - outage.down_at;
-    } else {
-      ++shard.fstats.transient_strikes;
-    }
-  }
-  if (repaired) {
-    if (own_a) {
-      link_down_[static_cast<std::size_t>(outage.link)] = 0;
-      schedule_arb_if_idle(node_a, dir);
-    }
-    if (own_b) {
-      link_down_[static_cast<std::size_t>(reverse)] = 0;
-      schedule_arb_if_idle(node_b, dir ^ 1);
-    }
   } else {
-    if (own_a) link_down_[static_cast<std::size_t>(outage.link)] = 1;
-    if (own_b) link_down_[static_cast<std::size_t>(reverse)] = 1;
-    for (FlightSlot& flight : shard.flights) {
-      if (flight.in_use && !flight.dropped &&
-          (flight.link == static_cast<std::uint32_t>(outage.link) ||
-           flight.link == static_cast<std::uint32_t>(reverse))) {
-        flight.dropped = true;
+    const TransientOutage& outage =
+        fault_plan_.transients()[static_cast<std::size_t>(a)];
+    // `outage.link` is the + direction port, so the paired reverse link is
+    // the matching - direction port on the peer.
+    const Rank node_a = static_cast<Rank>(outage.link / dirs_);
+    const Rank node_b = link_peer_[static_cast<std::size_t>(outage.link)];
+    const int dir = outage.link % dirs_;
+    const int reverse = link_id(node_b, dir ^ 1);
+    const bool repaired = b != 0;
+    const bool own_a = node_slab_[static_cast<std::size_t>(node_a)] == shard.id;
+    const bool own_b = node_slab_[static_cast<std::size_t>(node_b)] == shard.id;
+    if (own_a) {
+      // One bookkeeper per outage: the + end's owner counts it.
+      if (repaired) {
+        shard.fstats.link_down_cycles += outage.up_at - outage.down_at;
+      } else {
+        ++shard.fstats.transient_strikes;
+      }
+    }
+    if (repaired) {
+      // Restart flow: whichever heads queued up behind the outage want out.
+      if (own_a) {
+        link_down_[static_cast<std::size_t>(outage.link)] = 0;
+        schedule_arb_if_idle(node_a, dir);
+      }
+      if (own_b) {
+        link_down_[static_cast<std::size_t>(reverse)] = 0;
+        schedule_arb_if_idle(node_b, dir ^ 1);
+      }
+    } else {
+      if (own_a) link_down_[static_cast<std::size_t>(outage.link)] = 1;
+      if (own_b) link_down_[static_cast<std::size_t>(reverse)] = 1;
+      for (FlightSlot& flight : shard.flights) {
+        if (flight.in_use && !flight.dropped &&
+            (flight.link == static_cast<std::uint32_t>(outage.link) ||
+             flight.link == static_cast<std::uint32_t>(reverse))) {
+          flight.dropped = true;
+        }
       }
     }
   }
-}
-
-void Fabric::set_link_state(int link, bool down) {
-  const std::size_t lk = static_cast<std::size_t>(link);
-  if (link_down_[lk] == static_cast<std::uint8_t>(down ? 1 : 0)) return;
-  link_down_[lk] = down ? 1 : 0;
-  if (down) {
-    drop_in_flight_on_link(static_cast<std::uint32_t>(link));
-  } else {
-    // Restart flow: whichever heads queued up behind the outage want out.
-    schedule_arb_if_idle(static_cast<Rank>(link / dirs_), link % dirs_);
-  }
-}
-
-void Fabric::drop_in_flight_on_link(std::uint32_t link) {
-  for (FlightSlot& flight : flights_) {
-    if (flight.in_use && !flight.dropped && flight.link == link) {
-      flight.dropped = true;
-    }
-  }
+  // With one slab no other slab runs concurrently, so the invariants can be
+  // checked mid-run.
+  if (config_.debug_checks && shards_.size() == 1) run_debug_checks(false);
 }
 
 bool Fabric::continuation_live(const Packet& head, Rank peer, int dir) const {
@@ -1210,10 +1098,8 @@ void Fabric::return_buffer_credit(Rank node, int port, const Packet& packet) {
   const std::size_t buf = static_cast<std::size_t>(buf_id(node, port, packet.vc));
   const std::int32_t credit = (packet.vc == vc_bubble_ ? 1 : packet.chunks);
   const Rank upstream = torus_.neighbor(node, topo::Direction::from_index(port ^ 1));
-  if (shard_ctx_ != nullptr && upstream >= 0 &&
-      node_slab_[static_cast<std::size_t>(upstream)] != shard_ctx_->id) {
+  if (upstream >= 0 && node_slab_[static_cast<std::size_t>(upstream)] != shard_ctx_->id) {
     BoundaryMsg msg;
-    msg.at = now();
     msg.node = upstream;
     msg.buf = static_cast<std::int32_t>(buf);
     msg.chunks = credit;
@@ -1228,64 +1114,38 @@ void Fabric::return_buffer_credit(Rank node, int port, const Packet& packet) {
 }
 
 void Fabric::arm_sweep() {
-  bool& armed = shard_ctx_ != nullptr ? shard_ctx_->sweep_scheduled : sweep_scheduled_;
-  if (armed || stuck_cycles_ == 0) return;
-  armed = true;
+  Shard& shard = *shard_ctx_;
+  if (shard.sweep_scheduled || stuck_cycles_ == 0) return;
+  shard.sweep_scheduled = true;
   post(now() + stuck_cycles_, kEvSweep);
 }
 
 void Fabric::stuck_sweep() {
-  if (shard_ctx_ != nullptr) {
-    // Parallel: sweep only the slab's own nodes, buffers first and then
-    // FIFOs, both in index order, and re-arm while the slab holds packets.
-    Shard& shard = *shard_ctx_;
-    shard.sweep_scheduled = false;
-    const Tick cutoff = now() >= stuck_cycles_ ? now() - stuck_cycles_ : 0;
-    for (Rank n = 0; n < torus_.nodes(); ++n) {
-      if (node_slab_[static_cast<std::size_t>(n)] != shard.id) continue;
-      for (int p = 0; p < dirs_; ++p) {
-        for (int vc = 0; vc < vcs_; ++vc) {
-          const std::size_t b = static_cast<std::size_t>(buf_id(n, p, vc));
-          while (!buffers_[b].empty() && head_since_[b] <= cutoff) drop_buffer_head(b);
-        }
-      }
-    }
-    for (Rank n = 0; n < torus_.nodes(); ++n) {
-      if (node_slab_[static_cast<std::size_t>(n)] != shard.id) continue;
-      for (int f = 0; f < fifo_count_; ++f) {
-        const std::size_t fid = static_cast<std::size_t>(fifo_id(n, f));
-        while (!fifos_[fid].empty() && fifo_head_since_[fid] <= cutoff) {
-          drop_fifo_head(n, f);
-        }
-      }
-    }
-    if (shard.in_network > 0) {
-      shard.sweep_scheduled = true;
-      post(now() + stuck_cycles_, kEvSweep);
-    }
-    return;
-  }
-  sweep_scheduled_ = false;
-  if (in_network_ == 0) return;  // re-armed by the next injection
+  // Drops every head older than stuck_cycles_ from the slab's own buffers,
+  // then its own FIFOs, both in index order. While the slab still holds
+  // packets it keeps sweeping: a fault scenario can wedge at most
+  // stuck_cycles_ before the backstop unwinds it, and the wheel drains
+  // (quiescence) once the slab truly empties.
+  Shard& shard = *shard_ctx_;
+  shard.sweep_scheduled = false;
   const Tick cutoff = now() >= stuck_cycles_ ? now() - stuck_cycles_ : 0;
-  for (std::size_t b = 0; b < buffers_.size(); ++b) {
-    while (!buffers_[b].empty() && head_since_[b] <= cutoff) drop_buffer_head(b);
+  for (Rank n = 0; n < torus_.nodes(); ++n) {
+    if (node_slab_[static_cast<std::size_t>(n)] != shard.id) continue;
+    for (int p = 0; p < dirs_; ++p) {
+      for (int vc = 0; vc < vcs_; ++vc) {
+        const std::size_t b = static_cast<std::size_t>(buf_id(n, p, vc));
+        while (!buffers_[b].empty() && head_since_[b] <= cutoff) drop_buffer_head(b);
+      }
+    }
   }
   for (Rank n = 0; n < torus_.nodes(); ++n) {
+    if (node_slab_[static_cast<std::size_t>(n)] != shard.id) continue;
     for (int f = 0; f < fifo_count_; ++f) {
       const std::size_t fid = static_cast<std::size_t>(fifo_id(n, f));
-      while (!fifos_[fid].empty() && fifo_head_since_[fid] <= cutoff) {
-        drop_fifo_head(n, f);
-      }
+      while (!fifos_[fid].empty() && fifo_head_since_[fid] <= cutoff) drop_fifo_head(n, f);
     }
   }
-  // While packets remain, keep sweeping: this guarantees a fault scenario
-  // can wedge at most stuck_cycles_ before the backstop unwinds it, and the
-  // event queue drains (quiescence) once the network truly empties.
-  if (in_network_ > 0) {
-    sweep_scheduled_ = true;
-    post(now() + stuck_cycles_, kEvSweep);
-  }
+  if (shard.in_network > 0) arm_sweep();
 }
 
 void Fabric::drop_buffer_head(std::size_t buf) {
@@ -1408,7 +1268,6 @@ std::string Fabric::check_invariants(bool quiescent) const {
     return fail("packets still in network: " + std::to_string(in_network_));
   }
   std::int64_t inflight = 0;
-  for (const FlightSlot& slot : flights_) inflight += slot.in_use;
   for (const Shard& shard : shards_) {
     for (const FlightSlot& slot : shard.flights) inflight += slot.in_use;
   }
@@ -1416,9 +1275,16 @@ std::string Fabric::check_invariants(bool quiescent) const {
   return "";
 }
 
+Tick Fabric::latest_clock() const noexcept {
+  Tick latest = 0;
+  for (const Shard& shard : shards_) latest = std::max(latest, shard.now);
+  return latest;
+}
+
 void Fabric::dump_state() const {
+  const Tick t = latest_clock();
   std::fprintf(stderr, "=== fabric state at t=%llu, in_network=%lld ===\n",
-               static_cast<unsigned long long>(now()), static_cast<long long>(in_network_));
+               static_cast<unsigned long long>(t), static_cast<long long>(in_network_));
   for (Rank n = 0; n < torus_.nodes(); ++n) {
     const CpuState& cpu = cpu_[static_cast<std::size_t>(n)];
     if (cpu.stalled) {
@@ -1449,22 +1315,11 @@ void Fabric::dump_state() const {
     }
     for (int d = 0; d < dirs_; ++d) {
       const auto link = static_cast<std::size_t>(link_id(n, d));
-      if (link_busy_until_[link] > now() || arb_scheduled_[link]) {
+      if (link_busy_until_[link] > t || arb_scheduled_[link]) {
         std::fprintf(stderr, "node %d link %d: busy_until=%llu arb_scheduled=%d\n", n, d,
                      static_cast<unsigned long long>(link_busy_until_[link]),
                      arb_scheduled_[link]);
       }
-    }
-  }
-}
-
-void Fabric::kick() {
-  for (Rank n = 0; n < torus_.nodes(); ++n) {
-    for (int d = 0; d < dirs_; ++d) schedule_arb_if_idle(n, d);
-    CpuState& cpu = cpu_[static_cast<std::size_t>(n)];
-    if (!cpu.pump_scheduled && node_alive_now(n)) {
-      cpu.pump_scheduled = true;
-      post(std::max(now(), cpu.next_free), kEvCpu, static_cast<std::uint32_t>(n));
     }
   }
 }
@@ -1483,6 +1338,7 @@ void Fabric::trace_wait_cycle() const {
     return;
   }
   std::vector<char> visited(buffers_.size(), 0);
+  const Tick t = latest_clock();
   int buf = start_buf;
   for (int step = 0; step < 200; ++step) {
     const Rank node = static_cast<Rank>(buf / (dirs_ * vcs_));
@@ -1509,7 +1365,7 @@ void Fabric::trace_wait_cycle() const {
       if (!wants_output(head, axis, sign)) continue;
       const std::size_t lk = static_cast<std::size_t>(link_id(node, d));
       if (link_peer_[lk] < 0) continue;
-      if (link_busy_until_[lk] > now()) {
+      if (link_busy_until_[lk] > t) {
         std::fprintf(stderr, "  output %d: link busy (not deadlocked)\n", d);
         return;
       }
@@ -1550,10 +1406,8 @@ void Fabric::trace_wait_cycle() const {
 }
 
 std::uint32_t Fabric::alloc_flight_slot() {
-  std::vector<FlightSlot>& flights =
-      shard_ctx_ != nullptr ? shard_ctx_->flights : flights_;
-  std::vector<std::uint32_t>& free_list =
-      shard_ctx_ != nullptr ? shard_ctx_->free_flights : free_flights_;
+  std::vector<FlightSlot>& flights = shard_ctx_->flights;
+  std::vector<std::uint32_t>& free_list = shard_ctx_->free_flights;
   std::uint32_t slot;
   if (!free_list.empty()) {
     slot = free_list.back();

@@ -1,6 +1,6 @@
 // The torus network fabric: routers, links, virtual channels, injection
-// FIFOs and the per-node core (CPU) injection model, driven by a discrete
-// event engine.
+// FIFOs and the per-node core (CPU) injection model, driven by per-slab
+// discrete event wheels (DESIGN.md Section 10).
 //
 // Model summary (see DESIGN.md Section 5):
 //  - Input-queued routers: each node has one input buffer per (incoming
@@ -41,7 +41,7 @@
 #include "src/network/faults.hpp"
 #include "src/network/packet.hpp"
 #include "src/network/packet_ring.hpp"
-#include "src/sim/engine.hpp"
+#include "src/sim/event_queue.hpp"
 #include "src/topology/torus.hpp"
 #include "src/util/rng.hpp"
 
@@ -118,18 +118,15 @@ struct FaultStats {
   }
 };
 
-/// Why a run that asked for --sim-threads N executed on fewer threads (or on
-/// the single-threaded reference engine). Surfaced through
-/// RunResult::sim_threads_reason so a silent fallback is always explainable.
+/// Why a run that asked for --sim-threads N executed on fewer threads (as
+/// few as one slab). Surfaced through RunResult::sim_threads_reason so a
+/// silent fallback is always explainable.
 enum class ThreadFallbackReason : std::uint8_t {
   kNone = 0,        // parallel engine in use at the requested width (or capped
                     // only by the slab-axis extent)
   kNotRequested,    // sim_threads <= 1: nobody asked
   kZeroWindow,      // zero-cost links leave no conservative lookahead window
-  kPrimedEngine,    // an earlier single-threaded run() primed the reference
-                    // engine; a mid-flight migration is impossible
   kNarrowShape,     // the widest axis has extent 1: nothing to partition
-  kLegacyClient,    // collective layer: the client is not slab-safe
   kCrossNodeDeps,   // collective layer: schedule phases carry cross-node
                     // dependencies that need a global event order
 };
@@ -139,15 +136,13 @@ constexpr const char* to_string(ThreadFallbackReason reason) noexcept {
     case ThreadFallbackReason::kNone: return "parallel";
     case ThreadFallbackReason::kNotRequested: return "not requested";
     case ThreadFallbackReason::kZeroWindow: return "zero lookahead window";
-    case ThreadFallbackReason::kPrimedEngine: return "engine already primed";
     case ThreadFallbackReason::kNarrowShape: return "slab axis extent 1";
-    case ThreadFallbackReason::kLegacyClient: return "legacy client";
     case ThreadFallbackReason::kCrossNodeDeps: return "cross-node schedule deps";
   }
   return "?";
 }
 
-class Fabric : public sim::EventHandler {
+class Fabric {
  public:
   Fabric(const NetworkConfig& config, Client& client);
 
@@ -156,13 +151,14 @@ class Fabric : public sim::EventHandler {
 
   /// Runs until quiescent (all traffic drained and all cores idle) or until
   /// `deadline`. Returns true when quiescent. Can be called repeatedly; the
-  /// first call primes every node's core.
+  /// first call cuts the torus into slabs and primes every node's core.
   bool run(Tick deadline = ~Tick{0});
 
-  /// Current simulation time: the executing slab's clock on a parallel run,
-  /// the engine clock otherwise. Slab clocks may differ transiently (bounded
-  /// by the lookahead window) but each handler only ever observes its own.
-  Tick now() const noexcept { return shard_ctx_ != nullptr ? shard_now() : engine_.now(); }
+  /// Current simulation time: the executing slab's clock. Slab clocks may
+  /// differ transiently (bounded by the lookahead window) but each handler
+  /// only ever observes its own. Like wake_cpu and schedule_timer, callable
+  /// only from inside run() (client callbacks).
+  Tick now() const noexcept { return shard_ctx_->now; }
   const topo::Torus& torus() const noexcept { return torus_; }
   const NetworkConfig& config() const noexcept { return config_; }
   const FabricStats& stats() const noexcept { return stats_; }
@@ -177,28 +173,26 @@ class Fabric : public sim::EventHandler {
   /// semantics); with fail_at > 0 the network runs *blind* — healthy routing,
   /// no plan steering — until the strike lands mid-run. The reliability
   /// layer keys its give-up logic off this so pre-strike traffic is not
-  /// abandoned against a fault plan nobody is supposed to know yet. On a
-  /// parallel run each slab observes its *own* strike flag (flipped by its
-  /// own kPermStrike event), so a handler never reads a neighbor's toggle
-  /// mid-window.
+  /// abandoned against a fault plan nobody is supposed to know yet. Each
+  /// slab observes its *own* strike flag (flipped by its own kPermStrike
+  /// event), so a handler never reads a neighbor's toggle mid-window.
   bool perm_faults_struck() const noexcept { return struck_now(); }
 
   /// Thread-safe routability oracle for clients running inside handlers:
   /// answers against the permanent fault state *as this node currently sees
   /// it* (always routable while the network is still blind), memoized in the
-  /// executing slab's private memo on a parallel run. Strategy clients must
-  /// use this instead of fault_plan().pair_routable() — the plan's internal
-  /// memo is not thread-safe.
+  /// executing slab's private memo. Strategy clients must use this instead
+  /// of fault_plan().pair_routable() — the plan's internal memo is not
+  /// thread-safe.
   bool pair_routable_now(Rank src, Rank dst, RoutingMode mode) const {
     if (!faults_active_ || !struck_now()) return true;
     return fault_plan_.pair_routable(src, dst, mode, live_route_memo());
   }
 
-  /// The executing slab's private routability memo — nullptr on a
-  /// single-threaded run, where the plan's internal memo is safe. Clients
-  /// that consult the plan's oracle directly inside handlers (the schedule
-  /// executor's relay re-picking) must pass this through so parallel slabs
-  /// never share the plan's unsynchronized cache.
+  /// The executing slab's private routability memo. Clients that consult the
+  /// plan's oracle directly inside handlers (the schedule executor's relay
+  /// re-picking) must pass this through so parallel slabs never share the
+  /// plan's unsynchronized cache.
   FaultPlan::RouteMemo* route_memo_scratch() const noexcept {
     return live_route_memo();
   }
@@ -218,27 +212,21 @@ class Fabric : public sim::EventHandler {
   /// Packets currently inside the network (FIFOs + buffers + in flight).
   std::int64_t packets_in_network() const noexcept { return in_network_; }
 
-  /// Host-side watchdog for wedged runs: polled every few thousand events;
-  /// returning true aborts run() (which then reports not-drained). See
-  /// sim::Engine::set_abort_check.
-  void set_abort_check(std::function<bool()> check) {
-    abort_check_ = std::move(check);
-    engine_.set_abort_check(abort_check_);
-  }
-  bool aborted() const noexcept { return engine_.aborted() || mt_aborted_; }
+  /// Host-side watchdog for wedged runs: polled by slab 0 every few thousand
+  /// events; returning true aborts run() (which then reports not-drained and
+  /// sets aborted()). Used for per-job wall-clock timeouts — results of an
+  /// aborted run are not meaningful and must be discarded.
+  void set_abort_check(std::function<bool()> check) { abort_check_ = std::move(check); }
+  bool aborted() const noexcept { return aborted_; }
 
   /// Busy cycles of the directed link (node, direction); divide by elapsed
   /// time for utilization. Empty when collect_link_stats is off.
   const std::vector<Tick>& link_busy_cycles() const noexcept { return link_busy_; }
 
-  void handle(const sim::Event& event) override;
+  std::uint64_t events_processed() const noexcept { return events_; }
 
-  std::uint64_t events_processed() const noexcept {
-    return engine_.events_processed() + mt_events_;
-  }
-
-  /// Worker threads the last/next run() actually uses after eligibility
-  /// gating (1 on single-thread runs; see NetworkConfig::sim_threads).
+  /// Slabs (worker threads) the last/next run() actually uses after
+  /// eligibility gating (see NetworkConfig::sim_threads).
   int effective_sim_threads() const noexcept { return plan_threads(); }
 
   /// Why the effective thread count fell short of the request (kNone when
@@ -251,11 +239,12 @@ class Fabric : public sim::EventHandler {
 
   /// Observer invoked at every link grant: (packet after hop decrement,
   /// node granting, direction index, downstream VC or kDeliverHere).
-  /// For tests and tracing; adds a branch per grant when unset. On a
-  /// parallel run grants are buffered per slab and the observer is invoked
-  /// at each window barrier in (tick, link id) order — a total, deterministic
-  /// order (a link grants at most once per tick), though generally different
-  /// from the single-threaded interleaving across links.
+  /// For tests and tracing; adds a branch per grant when unset. A one-slab
+  /// run calls it inline in grant order. With several slabs grants are
+  /// buffered per slab and the observer is invoked at each window barrier in
+  /// (tick, link id) order — a total, deterministic order (a link grants at
+  /// most once per tick), though generally different from the one-slab
+  /// interleaving across links.
   using HopObserver = std::function<void(const Packet&, Rank, int, int)>;
   void set_hop_observer(HopObserver observer) { hop_observer_ = std::move(observer); }
 
@@ -265,11 +254,8 @@ class Fabric : public sim::EventHandler {
   std::string check_invariants(bool quiescent) const;
 
   /// Debug dump of all non-empty buffers/FIFOs and stalled cores (stderr).
+  /// Like trace_wait_cycle, safe between runs (it reads no slab context).
   void dump_state() const;
-
-  /// Debug aid: re-arm arbitration on every link and re-ask every idle core.
-  /// If a subsequent run() makes progress, a wakeup was lost somewhere.
-  void kick();
 
   /// Debug aid: starting from an arbitrary blocked head packet, follow the
   /// chain of "waits for buffer X, whose head waits for..." and print it
@@ -313,11 +299,11 @@ class Fabric : public sim::EventHandler {
   ///    serialization + hop latency bound the lookahead window).
   ///  - credit: a buffer pop whose feeding link lives in another slab. The
   ///    free-space counter of a buffer is owned by the *feeder's* slab (the
-  ///    only writer at grant time), so the return travels as a message and
-  ///    lands at the next barrier — a bounded (< one window) timing
-  ///    relaxation on boundary credit returns.
+  ///    only writer at grant time), so the return travels as a message,
+  ///    lands at the barrier and wakes the feeder link at the next window
+  ///    start — at most one window (W) late, the one timing relaxation.
   struct BoundaryMsg {
-    Tick at = 0;
+    Tick at = 0;             // packet: arrival tick
     Packet packet{};         // packet kind only
     Rank node = -1;          // packet: downstream node; credit: feeder node
     std::int32_t buf = 0;    // credit: buffer index whose free count grows
@@ -328,7 +314,7 @@ class Fabric : public sim::EventHandler {
     bool is_credit = false;
   };
 
-  /// One buffered hop-observer grant (parallel runs only): replayed at the
+  /// One buffered hop-observer grant (runs with several slabs): replayed at the
   /// window barrier in (at, link) order. node/dir are derived from `link`.
   struct HopRecord {
     Tick at = 0;
@@ -376,42 +362,34 @@ class Fabric : public sim::EventHandler {
   }
   int fifo_id(Rank node, int fifo) const noexcept { return node * fifo_count_ + fifo; }
 
-  // --- event dispatch (single- or multi-threaded) ---
-  /// Schedules an event on the executing slab's wheel (parallel run) or the
-  /// engine (single-threaded run). All call sites schedule slab-local events
-  /// by construction; cross-slab effects go through BoundaryMsg instead.
-  void post(Tick at, std::uint32_t type, std::uint32_t a = 0, std::uint64_t b = 0);
-  Tick shard_now() const noexcept { return shard_ctx_->now; }
-  FabricStats& live_stats() noexcept {
-    return shard_ctx_ != nullptr ? shard_ctx_->stats : stats_;
+  // --- event dispatch: everything below reads the executing slab ---
+  /// Schedules an event on the executing slab's wheel. All call sites
+  /// schedule slab-local events by construction; cross-slab effects go
+  /// through BoundaryMsg instead. A time before the slab clock throws
+  /// std::logic_error (TimingWheel::push), in every build.
+  void post(Tick at, std::uint32_t type, std::uint32_t a = 0, std::uint64_t b = 0) {
+    shard_ctx_->wheel.push(at, type, a, b);
   }
-  std::int64_t& live_in_network() noexcept {
-    return shard_ctx_ != nullptr ? shard_ctx_->in_network : in_network_;
-  }
-  util::Xoshiro256StarStar& live_rng() noexcept {
-    return shard_ctx_ != nullptr ? shard_ctx_->rng : rng_;
-  }
-  FlightSlot& flight_at(std::uint32_t slot) noexcept {
-    return shard_ctx_ != nullptr ? shard_ctx_->flights[slot] : flights_[slot];
-  }
-  FaultStats& live_fault_stats() noexcept {
-    return shard_ctx_ != nullptr ? shard_ctx_->fstats : fault_stats_;
-  }
-  /// Slab-private routability memo, or nullptr (= the plan's internal memo)
-  /// on a single-threaded run.
-  FaultPlan::RouteMemo* live_route_memo() const noexcept {
-    return shard_ctx_ != nullptr ? &shard_ctx_->route_memo : nullptr;
-  }
-  bool struck_now() const noexcept {
-    return shard_ctx_ != nullptr ? shard_ctx_->struck : struck_;
-  }
+  FabricStats& live_stats() noexcept { return shard_ctx_->stats; }
+  std::int64_t& live_in_network() noexcept { return shard_ctx_->in_network; }
+  util::Xoshiro256StarStar& live_rng() noexcept { return shard_ctx_->rng; }
+  FlightSlot& flight_at(std::uint32_t slot) noexcept { return shard_ctx_->flights[slot]; }
+  FaultStats& live_fault_stats() noexcept { return shard_ctx_->fstats; }
+  FaultPlan::RouteMemo* live_route_memo() const noexcept { return &shard_ctx_->route_memo; }
+  bool struck_now() const noexcept { return shard_ctx_->struck; }
 
-  // --- parallel (slab-partitioned) run ---
+  // --- slab-partitioned run ---
   int plan_threads(ThreadFallbackReason* reason = nullptr) const noexcept;
   int slab_axis() const noexcept;
-  bool run_parallel(int threads, Tick deadline);
+  void prime(int threads);
   void setup_shards(int threads);
-  void shard_step(Shard& shard);
+  /// Pops and handles the slab's events up to `limit` (the run deadline on a
+  /// one-slab run, the window end - 1 otherwise); a thrown error is recorded
+  /// for run() to rethrow.
+  void shard_step(Shard& shard, Tick limit);
+  void record_error(std::exception_ptr error) noexcept;
+  /// The latest slab clock, for the debug aids that run outside handlers.
+  Tick latest_clock() const noexcept;
   void apply_boundary(Shard& src, Shard& dst, const BoundaryMsg& msg);
   void barrier_phase(Tick deadline) noexcept;
   void advance_window(Tick deadline);
@@ -419,6 +397,7 @@ class Fabric : public sim::EventHandler {
   void drain_hop_logs();
 
   // --- core simulation steps ---
+  void handle(const sim::Event& event);
   void pump_cpu(Rank node);
   void arbitrate(int link);
   void commit_grant(std::size_t lk, Rank node, int dir, Rank peer, const Packet& granted,
@@ -432,19 +411,16 @@ class Fabric : public sim::EventHandler {
   // --- fault machinery (no-ops unless faults_active_) ---
   void init_faults();
   /// Schedules the fault timeline (delayed permanent strike, transient
-  /// outages) into the engine (single-threaded) or the shard wheels
-  /// (parallel), exactly once per fabric, at prime time.
+  /// outages) into the shard wheels, once per fabric, at prime time.
   void prime_fault_events();
+  /// A strike or transient outage event: the executing slab applies only its
+  /// own slice (its links' down bits, its nodes' cores, its flight arena, its
+  /// memo).
   void on_fault_event(std::uint32_t a, std::uint64_t b);
-  /// Parallel-run fault event: the executing slab applies only its own slice
-  /// (its links' down bits, its nodes' cores, its flight arena, its memo).
-  void mt_fault_event(std::uint32_t a, std::uint64_t b);
-  void set_link_state(int link, bool down);
-  void drop_in_flight_on_link(std::uint32_t link);
   /// Returns the downstream credit a dropped packet reserved in buffer
   /// (node, port, packet.vc) and re-arms the feeding link. The free counter
-  /// is owned by the feeder's slab, so on a parallel run with a foreign
-  /// feeder the return travels as a boundary credit message.
+  /// is owned by the feeder's slab, so with a foreign feeder the return
+  /// travels as a boundary credit message.
   void return_buffer_credit(Rank node, int port, const Packet& packet);
   /// True when `head`, after crossing `dir` into `peer`, still has a live
   /// minimal continuation (permanent fault state).
@@ -503,8 +479,6 @@ class Fabric : public sim::EventHandler {
   NetworkConfig config_;
   topo::Torus torus_;
   Client* client_;
-  sim::Engine engine_;
-  util::Xoshiro256StarStar rng_;
 
   int dirs_;             // link directions per node (2n)
   int fifo_count_;
@@ -515,7 +489,7 @@ class Fabric : public sim::EventHandler {
 
   // Per (node, port, vc): queued packets and free space in chunks (the
   // bubble VC counts max-packet slots instead; see constructor). Ownership
-  // under a parallel run: the queue and want mask belong to the node's slab;
+  // by slab: the queue and want mask belong to the node's slab;
   // the free counter belongs to the slab of the link *feeding* the buffer
   // (its only reader/writer at grant time).
   std::vector<RingQueue<Packet>> buffers_;
@@ -543,17 +517,16 @@ class Fabric : public sim::EventHandler {
 
   std::vector<CpuState> cpu_;
 
-  std::vector<FlightSlot> flights_;
-  std::vector<std::uint32_t> free_flights_;
-
+  // Merged from the slabs at the end of every run().
   FabricStats stats_;
   std::int64_t in_network_ = 0;
+  std::uint64_t events_ = 0;
   bool primed_ = false;
   HopObserver hop_observer_;
 
-  // --- parallel-run state (empty on single-threaded runs) ---
+  // --- slab-run state ---
   /// Slab of the worker executing the current handler; null outside
-  /// run_parallel. Thread-local so nested fabrics on different host threads
+  /// run(). Thread-local so nested fabrics on different host threads
   /// (harness --jobs) cannot alias. Defined inline and constant-initialized
   /// so every translation unit reads the variable directly: an out-of-line
   /// thread_local read from another TU goes through a TLS wrapper that
@@ -563,15 +536,13 @@ class Fabric : public sim::EventHandler {
   std::vector<std::int32_t> node_slab_;
   std::function<bool()> abort_check_;
   Tick window_cycles_ = 0;
-  Tick window_end_ = 0;     // exclusive; written only at barriers
-  bool mt_primed_ = false;  // primed into shard wheels (vs. the engine)
-  bool mt_done_ = false;
-  bool mt_drained_ = false;
-  bool mt_aborted_ = false;
-  std::uint64_t mt_events_ = 0;
-  std::atomic<bool> mt_abort_flag_{false};
-  std::mutex mt_error_mutex_;
-  std::exception_ptr mt_error_;
+  Tick window_end_ = 0;  // exclusive; written only at barriers
+  bool done_ = false;
+  bool drained_ = false;
+  bool aborted_ = false;
+  std::atomic<bool> abort_flag_{false};
+  std::mutex error_mutex_;
+  std::exception_ptr error_;  // guarded by error_mutex_
   /// Scratch for the barrier's hop-observer drain (capacity reused).
   std::vector<HopRecord> hop_scratch_;
 
@@ -580,15 +551,14 @@ class Fabric : public sim::EventHandler {
   bool faults_active_ = false;
   /// Permanent faults applied? True from construction when fail_at == 0
   /// (plan-ahead semantics, unchanged), false until the kPermStrike event
-  /// when fail_at > 0 (blind mid-run fail-stop). Gates every consultation of
-  /// the plan's permanent state: routability, hop steering, reroute vetoes,
-  /// node liveness.
+  /// when fail_at > 0 (blind mid-run fail-stop). Seeds every slab's own
+  /// flag (Shard::struck, which gates every consultation of the plan's
+  /// permanent state during a run) and holds the merged value between runs.
   bool struck_ = false;
   bool node_alive_now(Rank node) const noexcept {
     return !faults_active_ || !struck_now() || fault_plan_.node_alive(node);
   }
   Tick stuck_cycles_ = 0;  // stuck-head drop budget (0 = sweep disabled)
-  bool sweep_scheduled_ = false;
   std::vector<std::uint8_t> link_down_;      // current (incl. transient) state
   std::vector<std::uint8_t> link_degraded_;  // serialization multiplier applies
   // Tick at which the current head of each buffer/FIFO became head; the
@@ -604,7 +574,6 @@ class Fabric : public sim::EventHandler {
   /// which would make the fault realization depend on the interleaving.
   std::uint64_t drop_seed_ = 0;
   std::uint64_t corrupt_seed_ = 0;
-  bool fault_events_scheduled_ = false;
   FaultStats fault_stats_;
 };
 

@@ -1,6 +1,8 @@
 #include "src/sim/event_queue.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace bgl::sim {
@@ -59,7 +61,14 @@ TimingWheel::TimingWheel(std::size_t size_pow2) : buckets_(size_pow2), mask_(siz
 }
 
 void TimingWheel::push(Tick time, std::uint32_t type, std::uint32_t a, std::uint64_t b) {
-  if (time < cursor_) time = cursor_;
+  // Scheduling into the past is a bug: the event would have to fire late and
+  // silently reorder against already-queued events. It fails loudly in every
+  // build.
+  if (time < cursor_) {
+    throw std::logic_error("TimingWheel::push into the past: type=" + std::to_string(type) +
+                           " at=" + std::to_string(time) +
+                           " cursor=" + std::to_string(cursor_));
+  }
   const Event event{time, next_seq_++, type, a, b};
   if (time - cursor_ < buckets_.size()) {
     buckets_[time & mask_].push_back(event);

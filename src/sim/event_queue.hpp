@@ -11,7 +11,7 @@
 //
 // The simulator fires ~1-2 events per simulated cycle under load, which is
 // exactly the density a per-cycle wheel wants; the wheel is ~3x faster than
-// the heap end-to-end and is what Engine uses.
+// the heap end-to-end and is what every fabric slab runs on.
 #pragma once
 
 #include <cstdint>
@@ -73,17 +73,21 @@ class TimingWheel {
  public:
   explicit TimingWheel(std::size_t size_pow2 = 8192);
 
+  /// Queues an event; a time before the cursor (the time of the last
+  /// popped event, or the deadline a pop stopped at) throws std::logic_error.
   void push(Tick time, std::uint32_t type, std::uint32_t a, std::uint64_t b);
 
   bool empty() const noexcept { return count_ == 0 && overflow_.empty(); }
   std::size_t size() const noexcept { return count_ + overflow_.size(); }
 
-  /// Pops the earliest event if its time is <= deadline.
+  /// Pops the earliest event if its time is <= deadline. The cursor never
+  /// moves past `deadline`, so a later push at any tick after it fires on
+  /// time.
   std::optional<Event> pop_if_at_most(Tick deadline);
 
   /// Exact time of the earliest queued event without popping it (scans the
-  /// ring from the cursor; O(size) worst case — meant for the parallel
-  /// engine's once-per-window lower-bound computation, not per-event use).
+  /// ring from the cursor; O(size) worst case — meant for a multi-slab run's
+  /// once-per-window lower-bound computation, not per-event use).
   std::optional<Tick> next_time() const noexcept;
 
   std::uint64_t total_pushed() const noexcept { return next_seq_; }

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/sim/engine.hpp"
 #include "src/util/rng.hpp"
 
 namespace bgl::sim {
@@ -64,57 +63,6 @@ TEST(EventQueue, InterleavedPushPop) {
     }
     if (q.empty()) q.push(last + 1, 0, 0, 0);
   }
-}
-
-class Recorder : public EventHandler {
- public:
-  void handle(const Event& event) override { log.push_back(event); }
-  std::vector<Event> log;
-};
-
-TEST(Engine, RunsToQuiescence) {
-  Recorder recorder;
-  Engine engine(recorder);
-  engine.schedule(5, 1);
-  engine.schedule(2, 2);
-  EXPECT_TRUE(engine.run());
-  ASSERT_EQ(recorder.log.size(), 2u);
-  EXPECT_EQ(recorder.log[0].type, 2u);
-  EXPECT_EQ(recorder.log[1].type, 1u);
-  EXPECT_EQ(engine.now(), 5u);
-}
-
-TEST(Engine, DeadlineStopsBeforeLaterEvents) {
-  Recorder recorder;
-  Engine engine(recorder);
-  engine.schedule(10, 1);
-  engine.schedule(1000, 2);
-  EXPECT_FALSE(engine.run(100));
-  ASSERT_EQ(recorder.log.size(), 1u);
-  EXPECT_EQ(recorder.log[0].type, 1u);
-}
-
-TEST(Engine, PastScheduleClampsToNow) {
-  class SelfScheduler : public EventHandler {
-   public:
-    explicit SelfScheduler(Engine*& e) : engine(e) {}
-    void handle(const Event& event) override {
-      if (event.type == 1) {
-        engine->schedule(0, 2);  // in the past relative to now()==7
-      } else {
-        fired_at = engine->now();
-      }
-    }
-    Engine*& engine;
-    Tick fired_at = 0;
-  };
-  Engine* engine_ptr = nullptr;
-  SelfScheduler handler(engine_ptr);
-  Engine engine(handler);
-  engine_ptr = &engine;
-  engine.schedule(7, 1);
-  EXPECT_TRUE(engine.run());
-  EXPECT_EQ(handler.fired_at, 7u);
 }
 
 }  // namespace

@@ -1,14 +1,12 @@
 // Slab-parallel simulator core and the bugfix-sweep regressions that ride
 // with it:
-//  - Engine strict mode aborts on past-due schedule() calls instead of
-//    silently clamping (the default still clamps).
-//  - A multi-threaded run preserves the per-pair delivery matrix and the
-//    delivered packet/byte totals of the single-threaded reference exactly,
-//    and is deterministic for a fixed (seed, threads).
+//  - A multi-slab run preserves the per-pair delivery matrix and the
+//    delivered packet/byte totals of the one-slab run exactly, and is
+//    deterministic for a fixed (seed, threads).
 //  - Fault runs are parallel-eligible (counter-based fault draws, slab-owned
-//    fault state); the remaining ineligible configurations (legacy clients,
-//    cross-node extra_deps) fall back to the reference engine and report
-//    sim_threads == 1 with the cause in sim_threads_reason.
+//    fault state); the remaining ineligible configuration (cross-node
+//    extra_deps) runs as one slab and reports sim_threads == 1 with the
+//    cause in sim_threads_reason.
 //  - A delayed permanent strike (fail_at > 0) is planned blind, quiesces
 //    without tripping the watchdog, and reports the relay payload stranded
 //    in dead custodians.
@@ -24,44 +22,9 @@
 #include "src/coll/registry.hpp"
 #include "src/coll/schedule.hpp"
 #include "src/network/fabric.hpp"
-#include "src/sim/engine.hpp"
 
 namespace bgl::coll {
 namespace {
-
-// --- Engine strict mode ----------------------------------------------------
-
-/// Handler that reacts to a type-0 event by scheduling a type-1 event at
-/// half its time — past-due once the type-0 event has fired.
-struct PastDueHandler : sim::EventHandler {
-  sim::Engine* engine = nullptr;
-  std::vector<sim::Tick> fired;
-  void handle(const sim::Event& event) override {
-    fired.push_back(event.time);
-    if (event.type == 0) engine->schedule(event.time / 2, 1);
-  }
-};
-
-TEST(EngineStrict, PastDueScheduleThrows) {
-  PastDueHandler handler;
-  sim::Engine engine(handler);
-  handler.engine = &engine;
-  engine.set_strict(true);
-  engine.schedule(100, 0);
-  EXPECT_THROW(engine.run(), std::logic_error);
-}
-
-TEST(EngineStrict, PastDueScheduleClampsByDefault) {
-  PastDueHandler handler;
-  sim::Engine engine(handler);
-  handler.engine = &engine;
-  engine.schedule(100, 0);
-  EXPECT_TRUE(engine.run());
-  // The past-due event fired, clamped to the scheduling instant.
-  ASSERT_EQ(handler.fired.size(), 2u);
-  EXPECT_EQ(handler.fired[0], 100u);
-  EXPECT_EQ(handler.fired[1], 100u);
-}
 
 // --- multi-threaded equivalence and determinism ----------------------------
 
@@ -86,7 +49,7 @@ TEST_P(ParallelEquivalence, DeliveryMatrixMatchesSingleThread) {
   ASSERT_TRUE(a.drained);
   ASSERT_TRUE(b.drained);
   EXPECT_EQ(a.sim_threads, 1);
-  EXPECT_EQ(b.sim_threads, 4) << "parallel run fell back to the reference engine";
+  EXPECT_EQ(b.sim_threads, 4) << "parallel run fell back to one slab";
   // Timing may shift across slab boundaries; what was delivered may not.
   EXPECT_EQ(a.packets_delivered, b.packets_delivered);
   EXPECT_EQ(a.payload_bytes, b.payload_bytes);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/sim/event_queue.hpp"
 #include "src/util/rng.hpp"
 
@@ -136,14 +138,25 @@ TEST(TimingWheel, NextTimeSkipsConsumedPrefixOfCurrentBucket) {
   EXPECT_EQ(wheel.next_time().value(), 9u);
 }
 
-TEST(TimingWheel, PastPushClampsToCursor) {
+TEST(TimingWheel, PastDuePushThrows) {
+  // A push before the cursor is a scheduling bug and throws in every build;
+  // the wheel is left as it was.
   TimingWheel wheel;
   wheel.push(50, 0, 0, 0);
   EXPECT_EQ(wheel.pop_if_at_most(~Tick{0})->time, 50u);
-  wheel.push(10, 1, 0, 0);  // in the past; must fire at >= 50
-  const auto e = wheel.pop_if_at_most(~Tick{0});
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->time, 50u);
+  EXPECT_THROW(wheel.push(10, 1, 0, 0), std::logic_error);
+  EXPECT_TRUE(wheel.empty());
+  wheel.push(50, 2, 0, 0);  // "now" is not in the past
+  EXPECT_EQ(wheel.pop_if_at_most(~Tick{0})->type, 2u);
+}
+
+TEST(TimingWheel, PastDuePushThrowsAfterOverflowJump) {
+  // The cursor also advances by jumping to an overflow event; times below
+  // that event are past due afterwards.
+  TimingWheel wheel(16);
+  wheel.push(1000, 0, 0, 0);
+  EXPECT_EQ(wheel.pop_if_at_most(~Tick{0})->time, 1000u);
+  EXPECT_THROW(wheel.push(999, 1, 0, 0), std::logic_error);
 }
 
 TEST(TimingWheel, ShortDeadlineKeepsLaterPushesOnTime) {

@@ -1,12 +1,11 @@
-// Simulator-core throughput: host-side packets-simulated/sec of the
-// single-threaded reference engine vs the slab-parallel core, written as a
-// machine-readable perf artifact (BENCH_simcore.json) for CI trend tracking.
+// Simulator-core throughput: host-side packets-simulated/sec of a one-slab
+// run vs the same engine cut into N slabs, written as a machine-readable
+// perf artifact (BENCH_simcore.json) for CI trend tracking.
 //
 // Three variants exercise the engine's hot paths:
 //   clean     fault-free AR all-to-all (the historical bench point)
 //   faulted   dead links + probabilistic drops + corruption, with the
-//             reliability wrapper interposed — the configuration that used
-//             to force the reference engine and now runs on all slabs
+//             reliability wrapper interposed
 //   observer  fault-free with a hop observer attached (per-slab buffered,
 //             barrier-drained under MT)
 // Each variant runs at 1, 2, 4 and --sim-threads/hardware threads
@@ -105,7 +104,7 @@ int main(int argc, char** argv) {
                            : static_cast<int>(
                                  std::max(2u, std::thread::hardware_concurrency()));
   bench::print_header(
-      "Simulator core throughput — reference engine vs slab-parallel",
+      "Simulator core throughput — one slab vs slab-parallel",
       ("partition " + shape.to_string() + ", " + std::to_string(bytes) +
        " B per destination, AR; clean / faulted / observer variants, up to " +
        std::to_string(parallel) + " threads")

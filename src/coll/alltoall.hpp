@@ -139,8 +139,8 @@ struct RunResult {
   std::uint64_t packets_delivered = 0;
   std::uint64_t payload_bytes = 0;
   std::uint64_t events = 0;
-  /// Simulator worker threads actually used after eligibility gating (1 on
-  /// the reference engine; see NetworkConfig::sim_threads).
+  /// Simulator worker threads (slabs) actually used after eligibility
+  /// gating (see NetworkConfig::sim_threads).
   int sim_threads = 1;
   /// Why sim_threads fell short of the request (kNone when the parallel
   /// engine ran at the requested width).

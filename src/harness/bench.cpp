@@ -37,7 +37,7 @@ BenchContext BenchContext::from_cli(util::Cli& cli) {
                          "(keys: link tlink repair fail_at degrade degrade_mult "
                          "node drop seed rto retries stuck)");
   cli.describe("sim-threads", "slab-parallel worker threads inside each "
-                              "simulation (default 1 = reference engine; "
+                              "simulation (default 1 = one slab; "
                               "see --jobs for across-point parallelism)");
   cli.describe("resume", "partial CSV/JSON output of an interrupted run; "
                          "already-completed points are skipped and the sinks "

@@ -134,8 +134,8 @@ struct NetworkConfig {
 
   bool collect_link_stats = true;
 
-  /// Worker threads for the simulator core. 1 (the default) is the reference
-  /// single-threaded engine, bit-identical run to run. Values > 1 partition
+  /// Worker threads for the simulator core. 1 (the default) runs the torus
+  /// as one slab, bit-identical run to run. Values > 1 partition
   /// the torus into axis-aligned slabs driven by conservative time windows
   /// (see DESIGN.md "Threading model"); results stay deterministic for a
   /// fixed (seed, sim_threads) pair, delivery matrices are preserved

@@ -11,8 +11,8 @@
 //    bit-deterministic per (seed, sim_threads): the same run twice is
 //    identical, and the final delivery verdict matches single-thread.
 //  - Hop observers run parallel via per-slab buffers drained at window
-//    barriers in (tick, link id) order: same grant multiset as the
-//    reference engine, deterministic replay order.
+//    barriers in (tick, link id) order: same grant count as the one-slab
+//    run, deterministic replay order.
 //
 // The chaos case at the bottom exists for the sanitizer CI: every MT fault
 // mechanism (transients, drops, corruption, a mid-run strike, the stuck
@@ -181,8 +181,8 @@ TEST(MtFaults, TransientOutagesDeterministicPerThreadCount) {
 }
 
 TEST(MtFaults, HopObserverSeesEveryGrantUnderMt) {
-  // Observer runs no longer force the reference engine. Two properties:
-  //  - grant *count* matches the reference engine exactly (minimal routing:
+  // Observer runs stay on all slabs. Two properties:
+  //  - grant *count* matches the one-slab run exactly (minimal routing:
   //    every packet takes the same number of hops on any path, and the
   //    delivered packet set is thread-invariant);
   //  - the barrier-drained replay is in a deterministic order — an
@@ -193,9 +193,9 @@ TEST(MtFaults, HopObserverSeesEveryGrantUnderMt) {
   options.net.shape = topo::parse_shape("4x4x8");
   options.net.seed = 7;
   options.msg_bytes = 300;
-  // Observer invocations are serial in both engines (inline in the handler
-  // loop, or replayed by the one thread running the window barrier), so
-  // plain variables and order-sensitive mixing are safe.
+  // Observer invocations are serial at any slab count (inline in the one
+  // slab's handler loop, or replayed by the one thread running the window
+  // barrier), so plain variables and order-sensitive mixing are safe.
   std::uint64_t grants = 0;
   std::uint64_t order_hash = 0;
   options.hop_observer = [&](const net::Packet& packet, topo::Rank node,

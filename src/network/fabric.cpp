@@ -278,6 +278,8 @@ void Fabric::setup_shards(int threads) {
 void Fabric::shard_step(Shard& shard, Tick limit) {
   shard_ctx_ = &shard;
   try {
+    for (const sim::Event& e : shard.inbox) shard.wheel.push(e.time, e.type, e.a, e.b);
+    shard.inbox.clear();
     while (auto event = shard.wheel.pop_if_at_most(limit)) {
       shard.now = event->time;
       ++shard.processed;
@@ -310,7 +312,8 @@ void Fabric::barrier_phase(Tick deadline) noexcept {
   // happen-after, so boundary application needs no further synchronization.
   // Hop-observer buffers drain first (they describe the window just
   // finished), then boundary messages in deterministic order: by source
-  // shard, then destination, then insertion.
+  // shard, then destination, then insertion. The wheel events they cause
+  // go to the destination's inbox, in that same order.
   try {
     if (hop_observer_) drain_hop_logs();
     for (Shard& src : shards_) {
@@ -339,6 +342,10 @@ void Fabric::advance_window(Tick deadline) {
       any = true;
       min_next = std::min(min_next, *t);
     }
+    for (const sim::Event& e : shard.inbox) {
+      any = true;
+      min_next = std::min(min_next, e.time);
+    }
   }
   if (!any) {
     done_ = true;
@@ -363,7 +370,10 @@ void Fabric::apply_boundary(Shard& src, Shard& dst, const BoundaryMsg& msg) {
     // The wake fires at the next window start: a boundary credit acts at
     // most one window (W) later than an in-slab return would have (the
     // documented timing relaxation of a multi-slab run).
-    schedule_arb_if_idle(msg.node, msg.port, window_end_);
+    if (claim_arb(msg.node, msg.port, window_end_)) {
+      dst.inbox.push_back(sim::Event{window_end_, 0, kEvArb,
+                                     static_cast<std::uint32_t>(link_id(msg.node, msg.port)), 0});
+    }
   } else {
     // The packet now belongs to the receiving slab's census.
     --src.in_network;
@@ -381,7 +391,7 @@ void Fabric::apply_boundary(Shard& src, Shard& dst, const BoundaryMsg& msg) {
     if (faults_active_ && link_down_[static_cast<std::size_t>(msg.link)] != 0) {
       flight.dropped = true;
     }
-    dst.wheel.push(msg.at, kEvArrival, slot, 0);
+    dst.inbox.push_back(sim::Event{msg.at, 0, kEvArrival, slot, 0});
   }
 }
 
@@ -627,24 +637,26 @@ bool Fabric::try_inject(Rank node, const InjectDesc& desc) {
 }
 
 void Fabric::schedule_arb_if_idle(Rank node, int dir) {
-  schedule_arb_if_idle(node, dir, now());
+  if (claim_arb(node, dir, now())) {
+    post(now(), kEvArb, static_cast<std::uint32_t>(link_id(node, dir)));
+  }
 }
 
-void Fabric::schedule_arb_if_idle(Rank node, int dir, Tick at) {
+bool Fabric::claim_arb(Rank node, int dir, Tick at) {
   const std::size_t link = static_cast<std::size_t>(link_id(node, dir));
-  if (link_peer_[link] < 0) return;        // mesh edge: no link
-  if (faults_active_ && link_down_[link]) return;  // re-armed at repair
-  if (arb_scheduled_[link]) return;
-  if (link_busy_until_[link] > at) return;  // busy-end arb already pending
+  if (link_peer_[link] < 0) return false;        // mesh edge: no link
+  if (faults_active_ && link_down_[link]) return false;  // re-armed at repair
+  if (arb_scheduled_[link]) return false;
+  if (link_busy_until_[link] > at) return false;  // busy-end arb already pending
   // Skip the event when no current head wants this output; whichever future
   // head appears will trigger its own wakeup. This prunes the vast majority
   // of would-be no-candidate arbitration events under congestion. The
   // per-(node, dir) head counter answers in one load (the predicate is
   // identical to scanning every buffer/FIFO want mask, which the want
   // setters keep it in lockstep with).
-  if (node_dir_want_[link] == 0) return;
+  if (node_dir_want_[link] == 0) return false;
   arb_scheduled_[link] = 1;
-  post(at, kEvArb, static_cast<std::uint32_t>(link));
+  return true;
 }
 
 void Fabric::schedule_profitable_arbs(Rank node, const Packet& packet) {

@@ -353,6 +353,12 @@ class Fabric {
     FaultPlan::RouteMemo route_memo;
     /// Buffered hop-observer grants, drained at the window barrier.
     std::vector<HopRecord> hop_log;
+    /// Wheel events the barrier hands this slab (boundary arrivals and
+    /// credit wakes), pushed by the slab's own worker when its next window
+    /// starts: a wheel's buckets only ever grow in its owner's thread, so
+    /// the barrier thread never spreads a slab's memory over another
+    /// thread's malloc arena.
+    std::vector<sim::Event> inbox;
   };
 
   // --- indexing helpers (dirs_ = 2n directions on an n-dimensional shape) ---
@@ -405,7 +411,10 @@ class Fabric {
   void on_arrival(std::uint32_t slot_index);
   bool try_inject(Rank node, const InjectDesc& desc);
   void schedule_arb_if_idle(Rank node, int dir);
-  void schedule_arb_if_idle(Rank node, int dir, Tick at);
+  /// Marks an arbitration of link (node, dir) due at `at` when one is needed
+  /// (live, idle by then, unscheduled, wanted); true when the caller must
+  /// schedule the kEvArb event.
+  bool claim_arb(Rank node, int dir, Tick at);
   void schedule_profitable_arbs(Rank node, const Packet& packet);
 
   // --- fault machinery (no-ops unless faults_active_) ---

@@ -189,8 +189,8 @@ bool ReliableClient::routable(Rank from, Rank to, net::RoutingMode mode) const {
   // Until a delayed permanent strike (fail_at > 0) actually lands, the
   // network is healthy and nobody may consult the plan's permanent state:
   // giving up on a pair the plan *will* sever would abandon traffic that is
-  // deliverable right now. pair_routable_now encodes exactly that (and on a
-  // parallel run answers through the executing slab's private memo).
+  // deliverable right now. pair_routable_now encodes exactly that (and
+  // answers through the executing slab's private memo).
   return fabric_->pair_routable_now(from, to, mode);
 }
 

@@ -325,7 +325,6 @@ void Fabric::barrier_phase(Tick deadline) noexcept {
   } catch (...) {
     record_error(std::current_exception());
   }
-  shard_ctx_ = nullptr;
   if (abort_flag_.load(std::memory_order_relaxed)) {
     done_ = true;
     drained_ = false;
@@ -364,7 +363,6 @@ void Fabric::advance_window(Tick deadline) {
 }
 
 void Fabric::apply_boundary(Shard& src, Shard& dst, const BoundaryMsg& msg) {
-  shard_ctx_ = &dst;
   if (msg.is_credit) {
     buffer_free_[static_cast<std::size_t>(msg.buf)] += msg.chunks;
     // The wake fires at the next window start: a boundary credit acts at
@@ -378,7 +376,7 @@ void Fabric::apply_boundary(Shard& src, Shard& dst, const BoundaryMsg& msg) {
     // The packet now belongs to the receiving slab's census.
     --src.in_network;
     ++dst.in_network;
-    const std::uint32_t slot = alloc_flight_slot();
+    const std::uint32_t slot = alloc_flight_slot(dst);
     FlightSlot& flight = dst.flights[slot];
     flight.packet = msg.packet;
     flight.to_node = msg.node;
@@ -911,7 +909,7 @@ void Fabric::commit_grant(std::size_t lk, Rank node, int dir, Rank peer,
     shard_ctx_->outbox[static_cast<std::size_t>(
         node_slab_[static_cast<std::size_t>(peer)])].push_back(msg);
   } else {
-    const std::uint32_t slot = alloc_flight_slot();
+    const std::uint32_t slot = alloc_flight_slot(*shard_ctx_);
     FlightSlot& flight = flight_at(slot);
     flight.packet = granted;
     flight.to_node = peer;
@@ -1417,19 +1415,17 @@ void Fabric::trace_wait_cycle() const {
   }
 }
 
-std::uint32_t Fabric::alloc_flight_slot() {
-  std::vector<FlightSlot>& flights = shard_ctx_->flights;
-  std::vector<std::uint32_t>& free_list = shard_ctx_->free_flights;
+std::uint32_t Fabric::alloc_flight_slot(Shard& shard) {
   std::uint32_t slot;
-  if (!free_list.empty()) {
-    slot = free_list.back();
-    free_list.pop_back();
+  if (!shard.free_flights.empty()) {
+    slot = shard.free_flights.back();
+    shard.free_flights.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(flights.size());
-    flights.emplace_back();
+    slot = static_cast<std::uint32_t>(shard.flights.size());
+    shard.flights.emplace_back();
   }
-  flights[slot].in_use = true;
-  flights[slot].dropped = false;
+  shard.flights[slot].in_use = true;
+  shard.flights[slot].dropped = false;
   return slot;
 }
 

@@ -483,7 +483,7 @@ class Fabric {
 
   Tick cpu_inject_cycles(const InjectDesc& desc) const noexcept;
 
-  std::uint32_t alloc_flight_slot();
+  std::uint32_t alloc_flight_slot(Shard& shard);
 
   NetworkConfig config_;
   topo::Torus torus_;

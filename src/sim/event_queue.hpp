@@ -73,8 +73,9 @@ class TimingWheel {
  public:
   explicit TimingWheel(std::size_t size_pow2 = 8192);
 
-  /// Queues an event; a time before the cursor (the time of the last
-  /// popped event, or the deadline a pop stopped at) throws std::logic_error.
+  /// Queues an event. A time before the cursor throws std::logic_error; the
+  /// cursor is at least the last popped event's time and never past the
+  /// deadline of the last pop.
   void push(Tick time, std::uint32_t type, std::uint32_t a, std::uint64_t b);
 
   bool empty() const noexcept { return count_ == 0 && overflow_.empty(); }

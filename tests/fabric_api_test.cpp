@@ -2,6 +2,7 @@
 // wake semantics and run-result accounting.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "src/coll/alltoall.hpp"
@@ -142,6 +143,140 @@ TEST(FabricApi, DeadlinePreventsRunawayRuns) {
   options.deadline = 1000;  // absurdly tight: must report non-drained
   const auto result = coll::run_alltoall(coll::StrategyKind::kAdaptiveRandom, options);
   EXPECT_FALSE(result.drained);
+}
+
+TEST(FabricApi, DeadlineStopsBeforeLaterEvents) {
+  auto config = make_config("4x1x1");
+  TimerClient client;
+  Fabric fabric(config, client);
+  client.fabric = &fabric;
+  // The timer armed at the first core pump (tick 0) is due at tick 5000.
+  EXPECT_FALSE(fabric.run(4999));
+  EXPECT_EQ(client.fire_time, 0u) << "an event past the deadline ran";
+  // A deadline is inclusive: resuming up to 5000 fires it exactly on time.
+  EXPECT_FALSE(fabric.run(5000));
+  EXPECT_EQ(client.fire_time, 5000u);
+  EXPECT_EQ(client.delivery_time, 0u);
+  EXPECT_TRUE(fabric.run());
+  EXPECT_GT(client.delivery_time, client.fire_time);
+}
+
+/// Every node sends `per_node` packets to the nodes after it (cyclically)
+/// and logs, in callback order, the time of each delivery.
+class RingTrafficClient : public Client {
+ public:
+  RingTrafficClient(std::int32_t nodes, int per_node)
+      : nodes_(nodes), sent_(static_cast<std::size_t>(nodes), 0), per_node_(per_node) {}
+
+  bool next_packet(topo::Rank node, InjectDesc& out) override {
+    int& sent = sent_[static_cast<std::size_t>(node)];
+    if (sent == per_node_) return false;
+    ++sent;
+    out.dst = static_cast<topo::Rank>((node + 1 + sent % (nodes_ - 1)) % nodes_);
+    out.wire_chunks = static_cast<std::uint16_t>(1 + sent % 8);
+    out.payload_bytes = out.wire_chunks * 32u;
+    out.fifo = static_cast<std::uint8_t>(sent % 6);
+    out.tag = static_cast<std::uint64_t>(node) * 1000u + static_cast<std::uint64_t>(sent);
+    return true;
+  }
+
+  void on_delivery(topo::Rank, const Packet& packet) override {
+    delivered.push_back(packet.tag);
+    if (fabric != nullptr) delivery_times.push_back(fabric->now());
+  }
+
+  Fabric* fabric = nullptr;
+  std::vector<std::uint64_t> delivered;
+  std::vector<Tick> delivery_times;
+
+ private:
+  std::int32_t nodes_;
+  std::vector<int> sent_;
+  int per_node_;
+};
+
+TEST(FabricApi, DeadlineSlicedRunMatchesUnslicedRun) {
+  auto config = make_config("4x4x2");
+  const auto nodes = static_cast<std::int32_t>(config.shape.nodes());
+
+  RingTrafficClient whole_client(nodes, 40);
+  Fabric whole(config, whole_client);
+  whole_client.fabric = &whole;
+  ASSERT_TRUE(whole.run());
+
+  RingTrafficClient sliced_client(nodes, 40);
+  Fabric sliced(config, sliced_client);
+  sliced_client.fabric = &sliced;
+  bool drained = false;
+  int slices = 0;
+  for (Tick deadline = 700; !drained && slices < 10000; deadline += 700, ++slices) {
+    const std::size_t before = sliced_client.delivery_times.size();
+    drained = sliced.run(deadline);
+    for (std::size_t i = before; i < sliced_client.delivery_times.size(); ++i) {
+      ASSERT_LE(sliced_client.delivery_times[i], deadline) << "slice " << slices;
+    }
+  }
+  ASSERT_TRUE(drained);
+  EXPECT_GT(slices, 1) << "the slices must actually cut the run";
+
+  // Stopping at a deadline and resuming is invisible to the simulation.
+  EXPECT_EQ(sliced_client.delivered, whole_client.delivered);
+  EXPECT_EQ(sliced_client.delivery_times, whole_client.delivery_times);
+  EXPECT_EQ(sliced.events_processed(), whole.events_processed());
+  EXPECT_EQ(sliced.stats().arb_grants, whole.stats().arb_grants);
+  EXPECT_EQ(sliced.stats().chunk_hops, whole.stats().chunk_hops);
+  EXPECT_EQ(sliced.stats().active_span(), whole.stats().active_span());
+}
+
+TEST(FabricApi, QuiescentRunLeavesNothingToDo) {
+  auto config = make_config("4x4x2");
+  const auto nodes = static_cast<std::int32_t>(config.shape.nodes());
+  RingTrafficClient client(nodes, 20);
+  Fabric fabric(config, client);
+  ASSERT_TRUE(fabric.run());
+  EXPECT_EQ(client.delivered.size(), static_cast<std::size_t>(nodes) * 20u);
+  EXPECT_EQ(fabric.packets_in_network(), 0);
+  EXPECT_EQ(fabric.check_invariants(/*quiescent=*/true), "");
+
+  // Nothing is left queued: another run drains at once without an event.
+  const std::uint64_t events = fabric.events_processed();
+  const Tick span = fabric.stats().active_span();
+  EXPECT_TRUE(fabric.run());
+  EXPECT_EQ(fabric.events_processed(), events);
+  EXPECT_EQ(fabric.stats().active_span(), span);
+  EXPECT_EQ(client.delivered.size(), static_cast<std::size_t>(nodes) * 20u);
+}
+
+TEST(FabricApi, OneSlabHopObserverRunsInlineInGrantOrder) {
+  auto config = make_config("4x4x2");
+  config.sim_threads = 1;
+  const auto nodes = static_cast<std::int32_t>(config.shape.nodes());
+  RingTrafficClient client(nodes, 20);
+  Fabric fabric(config, client);
+  client.fabric = &fabric;
+  ASSERT_EQ(fabric.effective_sim_threads(), 1);
+
+  // Inline means the observer runs inside the grant's own handler: it can
+  // read the slab clock, sees grants in time order, and sees a packet's
+  // delivery grant before the client sees the delivery.
+  Tick last_grant = 0;
+  bool out_of_order = false;
+  std::map<std::uint64_t, Tick> delivery_grant;
+  fabric.set_hop_observer([&](const Packet& packet, topo::Rank, int, int target) {
+    const Tick at = fabric.now();
+    if (at < last_grant) out_of_order = true;
+    last_grant = at;
+    if (target == -1) delivery_grant.emplace(packet.tag, at);  // delivery grant
+  });
+  ASSERT_TRUE(fabric.run());
+  EXPECT_FALSE(out_of_order) << "observer calls are not in grant order";
+  ASSERT_EQ(client.delivered.size(), static_cast<std::size_t>(nodes) * 20u);
+  EXPECT_EQ(delivery_grant.size(), client.delivered.size());
+  for (std::size_t i = 0; i < client.delivered.size(); ++i) {
+    const auto it = delivery_grant.find(client.delivered[i]);
+    ASSERT_NE(it, delivery_grant.end()) << "delivery before its grant was observed";
+    EXPECT_LE(it->second, client.delivery_times[i]);
+  }
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
 #include <set>
+#include <string>
 
 #include "src/network/fabric.hpp"
+#include "tests/many_to_many_cases.hpp"
 
 namespace bgl::coll {
 namespace {
@@ -126,6 +130,50 @@ TEST(M2M, EmptyPatternFinishesImmediately) {
   EXPECT_TRUE(result.drained);
   EXPECT_EQ(result.elapsed_cycles, 0u);
   EXPECT_EQ(result.messages, 0u);
+}
+
+// Every pattern case must reproduce, bit for bit, the record pinned from the
+// SparseClient transport in tests/golden/many_to_many_equivalence.txt
+// (regenerate only for an intentional behavior change, with
+// tools/equivalence_golden many_to_many, and say so in the commit).
+const std::map<std::string, std::string>& m2m_golden() {
+  static const std::map<std::string, std::string> records = [] {
+    std::map<std::string, std::string> out;
+    const std::string path =
+        std::string(BGL_TEST_GOLDEN_DIR) + "/many_to_many_equivalence.txt";
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << "cannot open " << path;
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty() || line[0] == '#') continue;
+      const std::size_t space = line.find(' ');
+      out[line.substr(0, space)] = line.substr(space + 1);
+    }
+    return out;
+  }();
+  return records;
+}
+
+class ManyToManyEquivalence : public ::testing::TestWithParam<M2MCase> {};
+
+TEST_P(ManyToManyEquivalence, MatchesGolden) {
+  const M2MCase& c = GetParam();
+  const auto it = m2m_golden().find(c.name);
+  ASSERT_NE(it, m2m_golden().end()) << "no golden record for " << c.name;
+  const M2MRecord record = run_m2m_case(c);
+  EXPECT_TRUE(record.drained);
+  EXPECT_EQ(record.to_string(), it->second)
+      << "fields: elapsed events packets payload links_mean matrix_fnv";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Patterns, ManyToManyEquivalence, ::testing::ValuesIn(kM2MCases),
+    [](const ::testing::TestParamInfo<M2MCase>& param) {
+      return std::string(param.param.name);
+    });
+
+TEST(ManyToManyEquivalenceGolden, CoversEveryCase) {
+  EXPECT_EQ(m2m_golden().size(), std::size(kM2MCases));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 //
 //   ./equivalence_golden > ../tests/golden/schedule_equivalence.txt
 //   ./equivalence_golden reliability > ../tests/golden/reliability_equivalence.txt
+//   ./equivalence_golden many_to_many > ../tests/golden/many_to_many_equivalence.txt
 //
 // schedule: the pinned per-case metrics of the 34-run equivalence suite
 // (17 cases x fault-free/faulted), captured from the build in which the
@@ -14,6 +15,10 @@
 // fault subsystem on the reliability cases (tests/reliability_cases.hpp) at
 // 1 and 4 slab threads; one "name threads <rel_record>" line per run.
 //
+// many_to_many: elapsed, events, packets, payload, mean link utilization and
+// the delivery-matrix FNV of the pattern cases (tests/many_to_many_cases.hpp),
+// captured from the hand-written SparseClient transport.
+//
 // Rerun this only when an intentional behavior change re-pins a suite (and
 // say so in the commit).
 #include <cstdio>
@@ -22,6 +27,7 @@
 
 #include "src/coll/alltoall.hpp"
 #include "tests/equivalence_cases.hpp"
+#include "tests/many_to_many_cases.hpp"
 #include "tests/reliability_cases.hpp"
 
 namespace {
@@ -88,16 +94,35 @@ int print_reliability_golden() {
   return 0;
 }
 
+int print_many_to_many_golden() {
+  std::printf("# many-to-many equivalence golden: %zu pattern cases\n",
+              std::size(kM2MCases));
+  std::printf("# name elapsed events packets payload links_mean matrix_fnv\n");
+  for (const M2MCase& c : kM2MCases) {
+    const M2MRecord record = run_m2m_case(c);
+    if (!record.drained) {
+      std::fprintf(stderr, "case %s did not drain\n", c.name);
+      return 1;
+    }
+    std::printf("%s %s\n", c.name, record.to_string().c_str());
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc > 2 || (argc == 2 && std::strcmp(argv[1], "schedule") != 0 &&
-                   std::strcmp(argv[1], "reliability") != 0)) {
-    std::fprintf(stderr, "usage: %s [schedule|reliability]\n", argv[0]);
+                   std::strcmp(argv[1], "reliability") != 0 &&
+                   std::strcmp(argv[1], "many_to_many") != 0)) {
+    std::fprintf(stderr, "usage: %s [schedule|reliability|many_to_many]\n", argv[0]);
     return 2;
   }
   if (argc == 2 && std::strcmp(argv[1], "reliability") == 0) {
     return print_reliability_golden();
+  }
+  if (argc == 2 && std::strcmp(argv[1], "many_to_many") == 0) {
+    return print_many_to_many_golden();
   }
   return print_schedule_golden();
 }

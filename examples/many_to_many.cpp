@@ -1,9 +1,9 @@
 // Many-to-many communication on the simulated torus — the "more complex
 // many-to-many patterns" the paper's introduction hopes its analysis
-// benefits. Uses the library's sparse-pattern API (coll::Pattern /
-// coll::run_many_to_many) to compare the direct transport against TPS-style
-// two-phase routing as the fan-out grows from a halo exchange toward a
-// full all-to-all.
+// benefits. Compiles each coll::Pattern into a schedule
+// (coll::build_pattern_schedule) and runs it with coll::run_schedule to
+// compare the direct transport against TPS-style two-phase routing as the
+// fan-out grows from a halo exchange toward a full all-to-all.
 //
 //   ./many_to_many --shape 8x8x16 --bytes 960 --fanouts 2,8,32
 #include <cstdio>
@@ -27,17 +27,28 @@ int main(int argc, char** argv) {
   const auto fanouts = util::parse_int_list(cli.get("fanouts", "2,8,32,128"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const auto nodes = static_cast<std::int32_t>(shape.nodes());
+  for (const auto fanout : fanouts) {
+    if (fanout < 0 || fanout >= nodes) {
+      std::fprintf(stderr, "%s: error: fanout %lld outside [0, %d] on %s\n",
+                   cli.program().c_str(), static_cast<long long>(fanout), nodes - 1,
+                   shape.to_string().c_str());
+      return 2;
+    }
+  }
 
   std::printf("many-to-many on %s: each node sends %llu B to its peers\n\n",
               shape.to_string().c_str(), static_cast<unsigned long long>(bytes));
 
   auto run = [&](const coll::Pattern& pattern, bool two_phase) {
-    coll::ManyToManyOptions options;
+    coll::AlltoallOptions options;
     options.net.shape = shape;
     options.net.seed = seed;
     options.msg_bytes = bytes;
-    options.two_phase = two_phase;
-    const auto result = coll::run_many_to_many(pattern, options);
+    const auto kind =
+        two_phase ? coll::StrategyKind::kTwoPhase : coll::StrategyKind::kAdaptiveRandom;
+    const auto result = coll::run_schedule(
+        coll::build_pattern_schedule(kind, options.net, pattern, bytes), options,
+        coll::strategy_name(kind));
     if (!result.drained) std::fprintf(stderr, "warning: run stalled\n");
     return result;
   };
@@ -48,7 +59,7 @@ int main(int argc, char** argv) {
   const auto halo = coll::Pattern::halo(shape);
   const auto halo_direct = run(halo, false);
   const auto halo_tps = run(halo, true);
-  table.add_row({"6-pt halo", std::to_string(halo_direct.messages),
+  table.add_row({"6-pt halo", std::to_string(halo.total_messages()),
                  util::fmt(halo_direct.elapsed_us, 1), util::fmt(halo_tps.elapsed_us, 1),
                  util::fmt(halo_tps.elapsed_us / halo_direct.elapsed_us, 2),
                  util::fmt(100.0 * halo_direct.links.overall_mean, 1)});
@@ -58,7 +69,8 @@ int main(int argc, char** argv) {
                                                       seed ^ 0xabcd);
     const auto direct = run(pattern, false);
     const auto tps = run(pattern, true);
-    table.add_row({"random k=" + std::to_string(fanout), std::to_string(direct.messages),
+    table.add_row({"random k=" + std::to_string(fanout),
+                   std::to_string(pattern.total_messages()),
                    util::fmt(direct.elapsed_us, 1), util::fmt(tps.elapsed_us, 1),
                    util::fmt(tps.elapsed_us / direct.elapsed_us, 2),
                    util::fmt(100.0 * direct.links.overall_mean, 1)});

@@ -1,19 +1,16 @@
 #include "src/coll/alltoall.hpp"
 
-#include <cassert>
 #include <chrono>
 #include <cstdlib>
-#include <memory>
 #include <optional>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
-#include "src/coll/direct.hpp"
 #include "src/coll/recovery.hpp"
 #include "src/coll/registry.hpp"
 #include "src/coll/schedule.hpp"
 #include "src/coll/selector.hpp"
-#include "src/coll/tps.hpp"
-#include "src/coll/vmesh.hpp"
 #include "src/model/peak.hpp"
 
 namespace bgl::coll {
@@ -54,9 +51,8 @@ net::NetworkConfig effective_net(const AlltoallOptions& options) {
   return net;
 }
 
-// Shared back half of run_alltoall/run_schedule: the slab-parallel
-// eligibility gate, the reliability wrapper, the fabric run and the
-// RunResult bookkeeping.
+// Back half of run_planned: the slab-parallel eligibility gate, the
+// reliability wrapper, the fabric run and the RunResult bookkeeping.
 RunResult finish_run(net::NetworkConfig net, ScheduleExecutor& client,
                      const AlltoallOptions& options, const net::FaultPlan& plan,
                      const net::FaultPlan* faults, DeliveryMatrix* matrix,
@@ -124,14 +120,18 @@ RunResult finish_run(net::NetworkConfig net, ScheduleExecutor& client,
   if (net.collect_link_stats) {
     result.links = trace::summarize_links(fabric, result.elapsed_cycles);
   }
+  // The pairs the run owes: those the schedule carries (a pattern's pairs,
+  // or all of them) that it can still serve under the fault plan.
+  if (faults != nullptr || client.schedule().covered.nodes() != 0) {
+    result.reachable = PairMask(static_cast<std::int32_t>(net.shape.nodes()));
+    client.mark_reachable(result.reachable);
+    result.unreachable_pairs = result.reachable.unreachable_pairs();
+  }
   if (faults != nullptr) {
     result.faults = fabric.fault_stats();
     // Relay payload stranded in the custody of fail-stopped nodes: the part
     // of the delivery shortfall the strike itself explains.
     result.faults.stranded_relay_bytes = client.stranded_relay_bytes(plan);
-    result.reachable = PairMask(static_cast<std::int32_t>(net.shape.nodes()));
-    client.mark_reachable(result.reachable);
-    result.unreachable_pairs = result.reachable.unreachable_pairs();
     if (reliable.has_value()) {
       result.reliability = reliable->stats();
       result.abandoned_pairs = reliable->abandoned_pairs().size();
@@ -147,32 +147,13 @@ RunResult finish_run(net::NetworkConfig net, ScheduleExecutor& client,
   return result;
 }
 
-// Whether a run's shortfall is eligible for epoch recovery: a delayed
-// permanent strike (dead links or nodes landing mid-run) with recovery
-// enabled. Drop/corruption-only fault configs are repaired inline by the
-// reliability layer and never re-plan.
-bool recovery_armed(const AlltoallOptions& options, const net::NetworkConfig& net,
-                    const net::FaultPlan& plan, bool blind_strike) {
-  return options.recover && blind_strike &&
-         (plan.dead_link_count() > 0 || plan.dead_node_count() > 0);
-}
-
-// Epoch recovery after the struck epoch-0 run, shared by both entry points.
-void maybe_recover(RunResult& result, StrategyClient& client,
-                   const AlltoallOptions& options, const net::NetworkConfig& net,
-                   const net::FaultPlan& plan, DeliveryMatrix* matrix) {
-  // A wedged or killed epoch 0 never recovers: its ledger is mid-flight
-  // garbage and re-planning from it would double-deliver.
-  if (matrix == nullptr || !result.drained || result.timed_out) return;
-  std::vector<StrandedRelay> stranded;
-  client.collect_stranded(plan, stranded);
-  recover_epochs(result, options, net, plan, *matrix, stranded);
-}
-
-}  // namespace
-
-RunResult run_alltoall(StrategyKind kind, const AlltoallOptions& options) {
-  net::NetworkConfig net = effective_net(options);
+// The one run path behind run_alltoall and run_schedule. `plan_schedule`
+// is called as plan_schedule(net, planning_faults) and returns the schedule
+// to execute and the run's label; the fault plan, the delivery matrix, the
+// executor, the fabric run and epoch recovery are shared.
+template <typename PlanSchedule>
+RunResult run_planned(const AlltoallOptions& options, PlanSchedule&& plan_schedule) {
+  const net::NetworkConfig net = effective_net(options);
 
   // One plan, shared by planning (here), the Fabric (which expands its own
   // identical copy — the expansion is a pure function of config and shape)
@@ -180,21 +161,22 @@ RunResult run_alltoall(StrategyKind kind, const AlltoallOptions& options) {
   const net::FaultPlan plan(net, net.shape);
   const net::FaultPlan* faults = plan.enabled() ? &plan : nullptr;
 
-  // A delayed strike (fail_at > 0) is invisible to planning: schedules and
-  // clients are built as if the network were healthy, because at plan time it
-  // *is* — nobody may steer around faults that have not happened. The fabric
-  // flips perm_faults_struck() when the strike lands; the resulting shortfall
-  // is reported as reachable_complete == false plus the stranded relay-byte
-  // count, never silently planned away.
+  // A delayed strike (fail_at > 0) is invisible to planning: schedules are
+  // built and executed as if the network were healthy, because at plan time
+  // it *is* — nobody may steer around faults that have not happened. The
+  // fabric flips perm_faults_struck() when the strike lands; the resulting
+  // shortfall is reported as reachable_complete == false plus the stranded
+  // relay-byte count, never silently planned away.
   const bool blind_strike = faults != nullptr && net.faults.fail_at > 0;
   const net::FaultPlan* planning_faults = blind_strike ? nullptr : faults;
+  auto [schedule, label] = plan_schedule(net, planning_faults);
 
-  if (kind == StrategyKind::kBest) {
-    kind = select_strategy(net.shape, options.msg_bytes, planning_faults).kind;
-  }
-
-  // Epoch recovery needs the per-pair ledger to compute its residual.
-  const bool recover = recovery_armed(options, net, plan, blind_strike);
+  // Epoch recovery repairs a delayed permanent strike (dead links or nodes
+  // landing mid-run); drop/corruption-only configs are repaired inline by
+  // the reliability layer and never re-plan. It needs the per-pair ledger
+  // to compute its residual.
+  const bool recover = options.recover && blind_strike &&
+                       (plan.dead_link_count() > 0 || plan.dead_node_count() > 0);
 
   // Delivery recording: the caller's matrix, or an internal one when only
   // the RunResult summary is wanted (or recovery may trigger).
@@ -205,47 +187,44 @@ RunResult run_alltoall(StrategyKind kind, const AlltoallOptions& options) {
     matrix = &*local_matrix;
   }
 
-  // Build the strategy's declarative schedule and interpret it with the one
-  // executor (the equivalence suite pins its behavior to stored goldens).
-  ScheduleExecutor client(
-      net, build_schedule(kind, net, options.msg_bytes, options, planning_faults),
-      matrix, planning_faults);
-
-  RunResult result =
-      finish_run(net, client, options, plan, faults, matrix, strategy_name(kind));
-  if (recover) maybe_recover(result, client, options, net, plan, matrix);
+  ScheduleExecutor client(net, std::move(schedule), matrix, planning_faults);
+  RunResult result = finish_run(net, client, options, plan, faults, matrix, label);
+  // A wedged or killed epoch 0 never recovers: its ledger is mid-flight
+  // garbage and re-planning from it would double-deliver.
+  if (recover && result.drained && !result.timed_out) {
+    std::vector<StrandedRelay> stranded;
+    client.collect_stranded(plan, stranded);
+    recover_epochs(result, options, net, plan, *matrix, stranded,
+                   client.schedule().covered);
+  }
   return result;
+}
+
+}  // namespace
+
+RunResult run_alltoall(StrategyKind kind, const AlltoallOptions& options) {
+  return run_planned(options, [&](const net::NetworkConfig& net,
+                                  const net::FaultPlan* planning_faults) {
+    if (kind == StrategyKind::kBest) {
+      kind = select_strategy(net.shape, options.msg_bytes, planning_faults).kind;
+    }
+    // The strategy's declarative schedule, interpreted by the one executor
+    // (the equivalence suite pins its behavior to stored goldens).
+    return std::pair{build_schedule(kind, net, options.msg_bytes, options, planning_faults),
+                     strategy_name(kind)};
+  });
 }
 
 RunResult run_schedule(CommSchedule schedule, const AlltoallOptions& options,
                        const std::string& label) {
-  net::NetworkConfig net = effective_net(options);
-  if (schedule.shape != net.shape) {
-    throw std::invalid_argument(
-        "run_schedule: schedule shape " + schedule.shape.to_string() +
-        " does not match network " + net.shape.to_string());
-  }
-
-  const net::FaultPlan plan(net, net.shape);
-  const net::FaultPlan* faults = plan.enabled() ? &plan : nullptr;
-  // As in run_alltoall: a delayed strike is invisible at plan time, so the
-  // executor must not get to steer around faults that have not happened yet.
-  const bool blind_strike = faults != nullptr && net.faults.fail_at > 0;
-  const net::FaultPlan* planning_faults = blind_strike ? nullptr : faults;
-
-  const bool recover = recovery_armed(options, net, plan, blind_strike);
-
-  std::optional<DeliveryMatrix> local_matrix;
-  DeliveryMatrix* matrix = options.deliveries;
-  if (matrix == nullptr && (options.verify || recover)) {
-    local_matrix.emplace(static_cast<std::int32_t>(net.shape.nodes()));
-    matrix = &*local_matrix;
-  }
-
-  ScheduleExecutor client(net, std::move(schedule), matrix, planning_faults);
-  RunResult result = finish_run(net, client, options, plan, faults, matrix, label);
-  if (recover) maybe_recover(result, client, options, net, plan, matrix);
-  return result;
+  return run_planned(options, [&](const net::NetworkConfig& net, const net::FaultPlan*) {
+    if (schedule.shape != net.shape) {
+      throw std::invalid_argument(
+          "run_schedule: schedule shape " + schedule.shape.to_string() +
+          " does not match network " + net.shape.to_string());
+    }
+    return std::pair{std::move(schedule), label};
+  });
 }
 
 }  // namespace bgl::coll

@@ -131,9 +131,12 @@ struct RunResult {
 
   Tick elapsed_cycles = 0;
   double elapsed_us = 0.0;
-  /// Measured vs the Eq. 2 peak for this payload (direct wire format).
+  /// Measured vs the all-to-all Eq. 2 peak for this payload (direct wire
+  /// format) — on a many-to-many pattern run too, where it is not the
+  /// pattern's own bound.
   double percent_peak = 0.0;
-  /// Application payload moved per node per second, MB/s (Figures 3, 6, 7).
+  /// All-to-all payload, (nodes - 1) * msg_bytes, per node per second, MB/s
+  /// (Figures 3, 6, 7); defined the same way on a pattern run.
   double per_node_mbps = 0.0;
 
   std::uint64_t packets_delivered = 0;
@@ -165,13 +168,16 @@ struct RunResult {
   net::FaultStats faults{};
   /// End-to-end reliability counters (retransmits, acks, duplicates).
   rt::ReliabilityStats reliability{};
-  /// Ordered pairs the strategy could not serve under the fault plan.
+  /// Ordered pairs the run does not owe: outside a many-to-many pattern, or
+  /// not servable under the fault plan.
   std::uint64_t unreachable_pairs = 0;
   /// Distinct reachable (injector, destination) pairs with a packet
   /// abandoned after the retry budget (0 = full delivery); a recovered run
   /// adds each repair epoch's count.
   std::uint64_t abandoned_pairs = 0;
-  /// Per-pair reachability (nodes() == 0 when fault-free); combine with
+  /// The pairs the run owes: those its schedule carries (CommSchedule::
+  /// covered) that it can still serve under the fault plan. nodes() == 0
+  /// when it owes every pair (a fault-free all-to-all); combine with
   /// AlltoallOptions::deliveries + DeliveryMatrix::complete_reachable.
   PairMask reachable;
   /// Epoch-based recovery accounting (epochs == 1 when no re-plan ran).
@@ -182,8 +188,9 @@ RunResult run_alltoall(StrategyKind kind, const AlltoallOptions& options);
 
 struct CommSchedule;
 
-/// Run an arbitrary `CommSchedule` program (e.g. a synthesized one) through
-/// the same fabric / reliability / verification path as `run_alltoall`. The
+/// Run an arbitrary `CommSchedule` program (e.g. a synthesized one, or a
+/// many-to-many pattern's from build_pattern_schedule) through the same
+/// fabric / reliability / verification / recovery path as `run_alltoall`. The
 /// schedule must target `options.net.shape` and must have been built against
 /// the same fault plan the options imply (pass the plan to the builder).
 /// `label` becomes `RunResult::strategy`. Strategy-tuning fields of `options`

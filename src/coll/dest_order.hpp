@@ -1,4 +1,5 @@
-// Per-node randomized destination orderings.
+// Per-node randomized destination orderings (or, for many-to-many patterns,
+// an explicit per-node list).
 //
 // The production MPI all-to-all and the paper's AR scheme inject packets in a
 // random permutation of destinations to smooth out link contention. For
@@ -9,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/topology/torus.hpp"
@@ -28,6 +30,10 @@ enum class OrderPolicy {
 class DestOrder {
  public:
   DestOrder() = default;
+
+  /// An explicit destination list, walked as given (many-to-many patterns;
+  /// the caller shuffles and strips self).
+  explicit DestOrder(std::vector<topo::Rank> list) : list_(std::move(list)) {}
 
   DestOrder(topo::Rank self, std::int32_t nodes, util::Xoshiro256StarStar& rng,
             OrderPolicy policy = OrderPolicy::kRandom)

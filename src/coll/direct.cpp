@@ -8,9 +8,8 @@
 
 namespace bgl::coll {
 
-CommSchedule build_direct_schedule(const net::NetworkConfig& config,
-                                   std::uint64_t msg_bytes,
-                                   const DirectTuning& tuning) {
+CommSchedule build_direct_frame(const net::NetworkConfig& config,
+                                std::uint64_t msg_bytes, const DirectTuning& tuning) {
   assert(tuning.burst >= 1);
   CommSchedule sched;
   sched.shape = config.shape;
@@ -39,7 +38,13 @@ CommSchedule build_direct_schedule(const net::NetworkConfig& config,
   sched.stream.burst = tuning.burst;
   sched.phases.push_back(std::move(phase));
   sched.fifo_classes.push_back(FifoClass{});  // all FIFOs, round-robin
+  return sched;
+}
 
+CommSchedule build_direct_schedule(const net::NetworkConfig& config,
+                                   std::uint64_t msg_bytes,
+                                   const DirectTuning& tuning) {
+  CommSchedule sched = build_direct_frame(config, msg_bytes, tuning);
   const auto nodes = static_cast<std::size_t>(config.shape.nodes());
   util::Xoshiro256StarStar master(config.seed ^ 0xd1ec7ULL);
   sched.orders.reserve(nodes);

@@ -63,4 +63,10 @@ CommSchedule build_direct_schedule(const net::NetworkConfig& config,
                                    std::uint64_t msg_bytes,
                                    const DirectTuning& tuning);
 
+/// build_direct_schedule without the destination orders (phase, FIFO class
+/// and stream shape), for builders that bring their own, such as
+/// build_pattern_schedule.
+CommSchedule build_direct_frame(const net::NetworkConfig& config,
+                                std::uint64_t msg_bytes, const DirectTuning& tuning);
+
 }  // namespace bgl::coll

@@ -1,27 +1,15 @@
 #include "src/coll/many_to_many.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
+#include "src/coll/direct.hpp"
 #include "src/coll/tps.hpp"
-#include "src/network/fabric.hpp"
 #include "src/util/rng.hpp"
 
 namespace bgl::coll {
-
-namespace {
-
-constexpr std::uint64_t kKindFinal = 1;
-
-std::uint64_t make_tag(std::uint64_t kind, topo::Rank orig_src, topo::Rank final_dst) {
-  return (kind << 62) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(orig_src) & 0xffffffU) << 24) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(final_dst) & 0xffffffU);
-}
-
-}  // namespace
 
 std::size_t Pattern::total_messages() const {
   std::size_t total = 0;
@@ -34,13 +22,17 @@ std::size_t Pattern::total_messages() const {
 }
 
 Pattern Pattern::random_subset(std::int32_t nodes, int fanout, std::uint64_t seed) {
+  if (fanout < 0 || fanout > nodes - 1) {
+    throw std::invalid_argument("random_subset: fanout " + std::to_string(fanout) +
+                                " outside [0, " + std::to_string(nodes - 1) + "]");
+  }
   Pattern pattern;
   pattern.dests.resize(static_cast<std::size_t>(nodes));
   util::Xoshiro256StarStar master(seed);
   for (std::int32_t n = 0; n < nodes; ++n) {
     auto rng = master.fork();
     std::set<topo::Rank> chosen;
-    while (chosen.size() < static_cast<std::size_t>(std::min(fanout, nodes - 1))) {
+    while (chosen.size() < static_cast<std::size_t>(fanout)) {
       const auto d = static_cast<topo::Rank>(rng.below(static_cast<std::uint64_t>(nodes)));
       if (d != n) chosen.insert(d);
     }
@@ -65,7 +57,11 @@ Pattern Pattern::halo(const topo::Shape& shape) {
 }
 
 Pattern Pattern::grid_partners(std::int32_t nodes, int cols) {
-  assert(cols > 0 && nodes % cols == 0);
+  if (cols <= 0 || nodes % cols != 0) {
+    throw std::invalid_argument("grid_partners: " + std::to_string(cols) +
+                                " columns do not divide " + std::to_string(nodes) +
+                                " nodes");
+  }
   Pattern pattern;
   pattern.dests.resize(static_cast<std::size_t>(nodes));
   for (std::int32_t n = 0; n < nodes; ++n) {
@@ -82,134 +78,57 @@ Pattern Pattern::grid_partners(std::int32_t nodes, int cols) {
   return pattern;
 }
 
-SparseClient::SparseClient(const net::NetworkConfig& config, const Pattern& pattern,
-                           const ManyToManyOptions& options)
-    : config_(config),
-      torus_(config.shape),
-      options_(options),
-      packets_(rt::packetize(options.msg_bytes, rt::WireFormat::direct())) {
-  matrix_ = options.deliveries;
-  assert(pattern.dests.size() == static_cast<std::size_t>(torus_.nodes()));
-  if (options_.two_phase) {
-    linear_axis_ = options_.linear_axis >= 0 ? options_.linear_axis
-                                             : choose_linear_axis(config_.shape);
+CommSchedule build_pattern_schedule(StrategyKind kind, const net::NetworkConfig& net,
+                                    const Pattern& pattern, std::uint64_t msg_bytes) {
+  const auto nodes = static_cast<std::int32_t>(net.shape.nodes());
+  if (pattern.dests.size() != static_cast<std::size_t>(nodes)) {
+    throw std::invalid_argument("pattern has " + std::to_string(pattern.dests.size()) +
+                                " destination lists for " + std::to_string(nodes) +
+                                " nodes");
   }
-
-  util::Xoshiro256StarStar master(config_.seed ^ 0x5b195eULL);
-  nodes_.resize(pattern.dests.size());
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+  // The AR/DR/TPS schedules with their default tuning supply the phases and
+  // FIFO classes; the pattern supplies the destination orders.
+  CommSchedule sched;
+  switch (kind) {
+    case StrategyKind::kAdaptiveRandom:
+      sched = build_direct_frame(net, msg_bytes, DirectTuning::ar());
+      break;
+    case StrategyKind::kDeterministic:
+      sched = build_direct_frame(net, msg_bytes, DirectTuning::dr());
+      break;
+    case StrategyKind::kTwoPhase:
+      sched = build_tps_frame(net, msg_bytes, TpsTuning{});
+      break;
+    default:
+      throw std::invalid_argument("no many-to-many transport for strategy " +
+                                  strategy_name(kind));
+  }
+  // One whole message per destination before moving to the next.
+  sched.stream.rounds = 1;
+  sched.stream.burst = static_cast<int>(sched.phases.front().packets.size());
+  sched.covered = PairMask(nodes, /*reachable=*/false);
+  sched.orders.reserve(static_cast<std::size_t>(nodes));
+  util::Xoshiro256StarStar master(net.seed ^ 0x5b195eULL);
+  for (topo::Rank n = 0; n < nodes; ++n) {
     auto rng = master.fork();
-    auto& dests = nodes_[n].dests;
-    for (const topo::Rank d : pattern.dests[n]) {
-      if (d != static_cast<topo::Rank>(n)) dests.push_back(d);
+    std::vector<topo::Rank> dests;
+    for (const topo::Rank d : pattern.dests[static_cast<std::size_t>(n)]) {
+      if (d < 0 || d >= nodes) {
+        throw std::invalid_argument("pattern destination " + std::to_string(d) +
+                                    " of node " + std::to_string(n) + " out of range");
+      }
+      if (d == n) continue;
+      if (sched.covered.reachable(n, d)) {
+        throw std::invalid_argument("pattern lists destination " + std::to_string(d) +
+                                    " of node " + std::to_string(n) + " twice");
+      }
+      sched.covered.set_reachable(n, d);
+      dests.push_back(d);
     }
     rng.shuffle(dests);
-    expected_final_ += dests.size() * packets_.size();
+    sched.orders.emplace_back(std::move(dests));
   }
-}
-
-topo::Rank SparseClient::intermediate_for(topo::Rank src, topo::Rank dst) const {
-  topo::Coord c = torus_.coord_of(src);
-  c[linear_axis_] = torus_.coord_of(dst)[linear_axis_];
-  return torus_.rank_of(c);
-}
-
-std::uint8_t SparseClient::pick_fifo(NodeState& s, bool phase1) {
-  const int fifos = config_.injection_fifos;
-  if (!options_.two_phase || fifos < 2) {
-    const auto fifo = static_cast<std::uint8_t>(s.fifo_rr1 % fifos);
-    ++s.fifo_rr1;
-    return fifo;
-  }
-  const int half = fifos / 2;
-  std::uint8_t& rr = phase1 ? s.fifo_rr1 : s.fifo_rr2;
-  const int begin = phase1 ? 0 : half;
-  const int count = phase1 ? half : fifos - half;
-  const auto fifo = static_cast<std::uint8_t>(begin + (rr % count));
-  ++rr;
-  return fifo;
-}
-
-bool SparseClient::next_packet(topo::Rank node, net::InjectDesc& out) {
-  NodeState& s = nodes_[static_cast<std::size_t>(node)];
-
-  if (!s.forwards.empty()) {
-    const Forward f = s.forwards.front();
-    s.forwards.pop_front();
-    out.dst = f.final_dst;
-    out.tag = make_tag(kKindFinal, f.orig_src, f.final_dst);
-    out.payload_bytes = f.payload_bytes;
-    out.wire_chunks = f.chunks;
-    out.mode = options_.mode;
-    out.fifo = pick_fifo(s, /*phase1=*/false);
-    out.extra_cpu_cycles = options_.forward_cpu_cycles;
-    return true;
-  }
-
-  if (s.dest_index >= s.dests.size()) return false;
-  const topo::Rank dst = s.dests[s.dest_index];
-  const rt::PacketSpec& spec = packets_[s.packet_index];
-
-  topo::Rank wire_dst = dst;
-  std::uint64_t kind = kKindFinal;
-  bool phase1 = false;
-  if (options_.two_phase) {
-    const topo::Rank inter = intermediate_for(node, dst);
-    phase1 = inter != node;
-    if (inter != node && inter != dst) {
-      wire_dst = inter;
-      kind = 0;  // store and forward
-    }
-  }
-
-  out.dst = wire_dst;
-  out.tag = make_tag(kind, node, dst);
-  out.payload_bytes = spec.payload_bytes;
-  out.wire_chunks = spec.wire_chunks;
-  out.mode = options_.mode;
-  out.fifo = pick_fifo(s, phase1);
-  double extra = 0.0;
-  if (s.packet_index == 0) extra += options_.alpha_cycles;
-  out.extra_cpu_cycles = static_cast<std::uint32_t>(std::lround(extra));
-
-  if (++s.packet_index >= packets_.size()) {
-    s.packet_index = 0;
-    ++s.dest_index;
-  }
-  return true;
-}
-
-void SparseClient::on_delivery(topo::Rank node, const net::Packet& packet) {
-  const std::uint64_t kind = packet.tag >> 62;
-  const auto orig_src = static_cast<topo::Rank>((packet.tag >> 24) & 0xffffffU);
-  const auto final_dst = static_cast<topo::Rank>(packet.tag & 0xffffffU);
-
-  if (kind == kKindFinal) {
-    assert(final_dst == node);
-    note_final_delivery();
-    if (matrix_ != nullptr) matrix_->record(orig_src, node, packet.payload_bytes);
-    return;
-  }
-  NodeState& s = nodes_[static_cast<std::size_t>(node)];
-  s.forwards.push_back(Forward{final_dst, orig_src, packet.payload_bytes, packet.chunks});
-  fabric_->wake_cpu(node);
-}
-
-ManyToManyResult run_many_to_many(const Pattern& pattern, const ManyToManyOptions& options) {
-  SparseClient client(options.net, pattern, options);
-  net::Fabric fabric(options.net, client);
-  client.bind(fabric);
-
-  ManyToManyResult result;
-  result.drained = fabric.run();
-  result.elapsed_cycles = client.completion_cycles();
-  result.elapsed_us = static_cast<double>(result.elapsed_cycles) / 700.0;
-  result.messages = pattern.total_messages();
-  result.packets_delivered = fabric.stats().packets_delivered;
-  if (options.net.collect_link_stats) {
-    result.links = trace::summarize_links(fabric, result.elapsed_cycles);
-  }
-  return result;
+  return sched;
 }
 
 }  // namespace bgl::coll

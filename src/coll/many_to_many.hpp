@@ -4,25 +4,33 @@
 // techniques ... can also be applied for more complex many-to-many
 // communication patterns").
 //
-// A Pattern lists each node's destinations. Two transports are provided:
-//   - direct: randomized destination order, adaptive or deterministic
-//     routing (the AR/DR machinery applied to a sparse pattern);
-//   - two-phase: the TPS trick applied per message — packets first travel
-//     the chosen linear dimension to an intermediate that shares the
+// A Pattern lists each node's destinations; build_pattern_schedule compiles
+// it into an ordered-form CommSchedule that runs through run_schedule like
+// any all-to-all, with faults, reliability, recovery, lint and delivery
+// verification:
+//
+//   const Pattern pattern = Pattern::halo(options.net.shape);
+//   RunResult r = run_schedule(
+//       build_pattern_schedule(StrategyKind::kTwoPhase, options.net, pattern,
+//                              options.msg_bytes),
+//       options, "TPS");
+//
+// Two transports:
+//   - direct (AR, DR): each node walks its destinations in a random order,
+//     adaptively or deterministically routed;
+//   - two-phase (TPS): the TPS trick applied per message — packets first
+//     travel the chosen linear dimension to an intermediate that shares the
 //     destination's linear coordinate, then are forwarded within the plane,
 //     with the phases in separate injection-FIFO groups.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
-#include "src/coll/strategy_client.hpp"
-#include "src/coll/verify.hpp"
+#include "src/coll/alltoall.hpp"
+#include "src/coll/schedule.hpp"
 #include "src/network/config.hpp"
-#include "src/runtime/packetizer.hpp"
 #include "src/topology/torus.hpp"
-#include "src/trace/stats.hpp"
 
 namespace bgl::coll {
 
@@ -32,7 +40,8 @@ struct Pattern {
 
   std::size_t total_messages() const;
 
-  /// Every node sends to `fanout` distinct uniform-random peers.
+  /// Every node sends to `fanout` distinct uniform-random peers. Throws
+  /// std::invalid_argument unless 0 <= fanout <= nodes - 1.
   static Pattern random_subset(std::int32_t nodes, int fanout, std::uint64_t seed);
 
   /// 6-point halo exchange: each node talks to its torus neighbors
@@ -41,71 +50,20 @@ struct Pattern {
 
   /// Row/column partners of a process grid laid over the ranks: each node
   /// sends to every rank sharing its row or column of an rows x cols grid
-  /// (a common sub-communicator collective footprint).
+  /// (a common sub-communicator collective footprint). Throws
+  /// std::invalid_argument unless cols > 0 and cols divides nodes.
   static Pattern grid_partners(std::int32_t nodes, int cols);
 };
 
-struct ManyToManyOptions {
-  net::NetworkConfig net{};
-  std::uint64_t msg_bytes = 240;
-  net::RoutingMode mode = net::RoutingMode::kAdaptive;
-  /// Route through TPS-style intermediates instead of directly.
-  bool two_phase = false;
-  int linear_axis = -1;  // -1 = paper rule (two_phase only)
-  double alpha_cycles = 450.0;
-  std::uint32_t forward_cpu_cycles = 200;
-  DeliveryMatrix* deliveries = nullptr;
-};
-
-struct ManyToManyResult {
-  net::Tick elapsed_cycles = 0;
-  double elapsed_us = 0.0;
-  std::uint64_t messages = 0;
-  std::uint64_t packets_delivered = 0;
-  bool drained = false;
-  trace::LinkReport links;
-};
-
-ManyToManyResult run_many_to_many(const Pattern& pattern, const ManyToManyOptions& options);
-
-/// The fabric client behind run_many_to_many (exposed for tests).
-class SparseClient : public StrategyClient {
- public:
-  SparseClient(const net::NetworkConfig& config, const Pattern& pattern,
-               const ManyToManyOptions& options);
-
-  bool next_packet(topo::Rank node, net::InjectDesc& out) override;
-  void on_delivery(topo::Rank node, const net::Packet& packet) override;
-
-  int linear_axis() const { return linear_axis_; }
-  std::uint64_t expected_final_packets() const { return expected_final_; }
-
- private:
-  struct Forward {
-    topo::Rank final_dst;
-    topo::Rank orig_src;
-    std::uint32_t payload_bytes;
-    std::uint16_t chunks;
-  };
-  struct NodeState {
-    std::vector<topo::Rank> dests;  // shuffled
-    std::uint32_t dest_index = 0;
-    std::uint32_t packet_index = 0;
-    std::deque<Forward> forwards;
-    std::uint8_t fifo_rr1 = 0;
-    std::uint8_t fifo_rr2 = 0;
-  };
-
-  topo::Rank intermediate_for(topo::Rank src, topo::Rank dst) const;
-  std::uint8_t pick_fifo(NodeState& s, bool phase1);
-
-  net::NetworkConfig config_;
-  topo::Torus torus_;
-  ManyToManyOptions options_;
-  int linear_axis_ = -1;
-  std::vector<rt::PacketSpec> packets_;
-  std::vector<NodeState> nodes_;
-  std::uint64_t expected_final_ = 0;
-};
+/// Compiles `pattern` into an ordered-form schedule: one whole message of
+/// `msg_bytes` per listed destination, each node walking its own list in a
+/// seeded random order. kAdaptiveRandom and kDeterministic send directly
+/// with the AR/DR tuning defaults; kTwoPhase relays along
+/// choose_linear_axis(shape) with the TPS defaults (reserved FIFO halves).
+/// CommSchedule::covered is the pattern, so a run owes exactly its pairs.
+/// Throws std::invalid_argument for any other kind, a pattern not sized to
+/// the node count, a destination out of range or one listed twice.
+CommSchedule build_pattern_schedule(StrategyKind kind, const net::NetworkConfig& net,
+                                    const Pattern& pattern, std::uint64_t msg_bytes);
 
 }  // namespace bgl::coll

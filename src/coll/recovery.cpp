@@ -69,12 +69,13 @@ bool pair_recoverable(const net::FaultPlan& plan, topo::Rank src, topo::Rank dst
 
 std::vector<ResidualPair> compute_residual(const DeliveryMatrix& matrix,
                                            std::uint64_t msg_bytes,
-                                           const net::FaultPlan& plan) {
+                                           const net::FaultPlan& plan,
+                                           const PairMask& carried) {
   std::vector<ResidualPair> residual;
   const std::int32_t nodes = matrix.nodes();
   for (topo::Rank s = 0; s < nodes; ++s) {
     for (topo::Rank d = 0; d < nodes; ++d) {
-      if (s == d) continue;
+      if (s == d || !carried.reachable(s, d)) continue;
       const std::uint64_t have = matrix.bytes(s, d);
       if (have >= msg_bytes) continue;
       if (!pair_recoverable(plan, s, d)) continue;
@@ -106,12 +107,7 @@ CommSchedule build_repair_schedule(const net::NetworkConfig& net,
   const std::int32_t nodes = sched.nodes();
   // Coverage is the residual and nothing else: start all-unreachable and
   // re-mark exactly the pairs the repair carries.
-  sched.covered = PairMask(nodes);
-  for (topo::Rank s = 0; s < nodes; ++s) {
-    for (topo::Rank d = 0; d < nodes; ++d) {
-      if (s != d) sched.covered.set_unreachable(s, d);
-    }
-  }
+  sched.covered = PairMask(nodes, /*reachable=*/false);
 
   // One direct send per residual pair, grouped by source (compute_residual
   // emits src-major order). A full-message residual uses the phase shape;
@@ -141,30 +137,31 @@ CommSchedule build_repair_schedule(const net::NetworkConfig& net,
   return sched;
 }
 
-bool recover_epochs(RunResult& result, const AlltoallOptions& options,
+void recover_epochs(RunResult& result, const AlltoallOptions& options,
                     const net::NetworkConfig& net, const net::FaultPlan& plan,
                     DeliveryMatrix& matrix,
-                    const std::vector<StrandedRelay>& stranded) {
+                    const std::vector<StrandedRelay>& stranded,
+                    const PairMask& carried) {
   const std::int32_t nodes = matrix.nodes();
   const std::uint64_t msg = options.msg_bytes;
 
   // Epoch transition, step 1: survivors discard partial flows no repair can
   // complete (an endpoint died or the pair is severed) so the exactly-once
   // ledger the repair epochs extend starts consistent.
-  std::uint64_t discarded = 0;
   for (topo::Rank s = 0; s < nodes; ++s) {
     for (topo::Rank d = 0; d < nodes; ++d) {
       if (s == d) continue;
       const std::uint64_t have = matrix.bytes(s, d);
       if (have != 0 && have != msg && !pair_recoverable(plan, s, d)) {
-        discarded += matrix.discard(s, d);
+        matrix.discard(s, d);
       }
     }
   }
 
-  // Step 2: the residual the repair epochs owe.
-  std::vector<ResidualPair> residual = compute_residual(matrix, msg, plan);
-  if (residual.empty() && discarded == 0) return false;
+  // Step 2: the residual the repair epochs owe. It may be empty — every
+  // short pair lost an endpoint — and the survivors' view below still
+  // replaces epoch 0's, which was planned blind to the strike.
+  std::vector<ResidualPair> residual = compute_residual(matrix, msg, plan, carried);
 
   const std::uint64_t owed = residual_bytes(residual);
   result.epochs.residual_pairs = residual.size();
@@ -206,7 +203,7 @@ bool recover_epochs(RunResult& result, const AlltoallOptions& options,
       result.drained = false;
       break;
     }
-    residual = compute_residual(matrix, msg, plan);
+    residual = compute_residual(matrix, msg, plan, carried);
     if (residual_bytes(residual) >= before) break;  // no progress: stop
   }
 
@@ -228,13 +225,14 @@ bool recover_epochs(RunResult& result, const AlltoallOptions& options,
   result.per_node_mbps =
       result.elapsed_us > 0 ? payload_per_node / result.elapsed_us : 0.0;
 
-  // Post-recovery reachability is the survivors' view: a pair counts
-  // reachable when a repair can still serve it — or when it was already
-  // delivered in full before the strike took an endpoint.
+  // Post-recovery reachability is the survivors' view of the pairs epoch 0
+  // owed: a pair counts reachable when a repair can still serve it — or when
+  // it was already delivered in full before the strike took an endpoint.
   PairMask mask(nodes);
   for (topo::Rank s = 0; s < nodes; ++s) {
     for (topo::Rank d = 0; d < nodes; ++d) {
-      if (s != d && !pair_recoverable(plan, s, d) && matrix.bytes(s, d) != msg) {
+      if (s != d && (!carried.reachable(s, d) ||
+                     (!pair_recoverable(plan, s, d) && matrix.bytes(s, d) != msg))) {
         mask.set_unreachable(s, d);
       }
     }
@@ -253,7 +251,6 @@ bool recover_epochs(RunResult& result, const AlltoallOptions& options,
     }
   }
   result.faults.stranded_relay_bytes = still_stranded;
-  return true;
 }
 
 }  // namespace bgl::coll

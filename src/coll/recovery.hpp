@@ -61,10 +61,12 @@ struct ResidualPair {
 };
 
 /// Scans the delivery matrix for recoverable pairs short of `msg_bytes`,
-/// in deterministic (src, dst) order.
+/// in deterministic (src, dst) order. Pairs `carried` excludes (the epoch-0
+/// schedule's CommSchedule::covered; empty = every pair) are never owed.
 std::vector<ResidualPair> compute_residual(const DeliveryMatrix& matrix,
                                            std::uint64_t msg_bytes,
-                                           const net::FaultPlan& plan);
+                                           const net::FaultPlan& plan,
+                                           const PairMask& carried = PairMask());
 
 /// Builds the explicit-form repair schedule delivering exactly `residual`:
 /// one direct adaptive send per pair (payload override = the missing bytes),
@@ -79,11 +81,13 @@ CommSchedule build_repair_schedule(const net::NetworkConfig& net,
 /// after the struck epoch-0 run): performs the epoch transition and executes
 /// repair epochs until the residual drains, rewriting `result` in place as
 /// described above. `stranded` is epoch 0's itemized dead-custodian ledger
-/// (StrategyClient::collect_stranded). Returns true when an epoch transition
-/// ran; false when the strike left nothing to repair (result untouched).
-bool recover_epochs(RunResult& result, const AlltoallOptions& options,
+/// (ScheduleExecutor::collect_stranded) and `carried` the pairs its schedule
+/// carries (CommSchedule::covered): pairs outside it are neither owed nor
+/// reachable.
+void recover_epochs(RunResult& result, const AlltoallOptions& options,
                     const net::NetworkConfig& net, const net::FaultPlan& plan,
                     DeliveryMatrix& matrix,
-                    const std::vector<StrandedRelay>& stranded);
+                    const std::vector<StrandedRelay>& stranded,
+                    const PairMask& carried);
 
 }  // namespace bgl::coll

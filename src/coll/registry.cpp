@@ -4,6 +4,8 @@
 
 namespace bgl::coll {
 
+namespace {
+
 DirectTuning direct_tuning_for(StrategyKind kind, const AlltoallOptions& options) {
   DirectTuning t;
   switch (kind) {
@@ -47,8 +49,6 @@ VmeshTuning vmesh_tuning_for(const AlltoallOptions& options) {
   t.mapping = static_cast<MeshMapping>(options.vmesh_mapping);
   return t;
 }
-
-namespace {
 
 template <StrategyKind Kind>
 CommSchedule build_direct_entry(const net::NetworkConfig& net, std::uint64_t msg_bytes,

@@ -36,12 +36,6 @@ const StrategyInfo* find_strategy(StrategyKind kind);
 /// Case-sensitive lookup by strategy_name(); nullptr when unknown.
 const StrategyInfo* find_strategy(const std::string& name);
 
-/// Tuning assembly shared by the registry builders and the legacy-client
-/// path, so both construct byte-identical parameters from the same options.
-DirectTuning direct_tuning_for(StrategyKind kind, const AlltoallOptions& options);
-TpsTuning tps_tuning_for(const AlltoallOptions& options);
-VmeshTuning vmesh_tuning_for(const AlltoallOptions& options);
-
 /// Builds `kind`'s schedule from the options. `kind` must be a registry
 /// entry (not kBest).
 CommSchedule build_schedule(StrategyKind kind, const net::NetworkConfig& net,

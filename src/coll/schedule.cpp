@@ -30,9 +30,9 @@ topo::Rank CommSchedule::relay_for(topo::Rank src, topo::Rank dst,
       leg_ok(canon, dst, faults, memo)) {
     return canon;
   }
-  // Degrade exactly like the legacy TPS client: the first live node on src's
-  // relay-axis line with both legs routable (k == src's own coordinate
-  // degenerates to a direct send).
+  // Degrade to the first live node on src's relay-axis line with both legs
+  // routable (k == src's own coordinate degenerates to a direct send); the
+  // faulted tps_* cases of tests/golden/schedule_equivalence.txt pin this.
   topo::Coord probe = torus.coord_of(src);
   for (int k = 0; k < shape.dim[axis]; ++k) {
     probe[stream.relay_axis] = k;
@@ -49,10 +49,10 @@ topo::Rank CommSchedule::relay_for(topo::Rank src, topo::Rank dst,
 bool CommSchedule::pair_covered(topo::Rank src, topo::Rank dst,
                                 const net::FaultPlan* faults,
                                 net::FaultPlan::RouteMemo* memo) const {
-  if (src == dst) return false;
-  if (faults == nullptr || !faults->enabled()) return true;
-  if (form == StreamForm::kExplicit) {
-    return covered.nodes() == 0 || covered.reachable(src, dst);
+  if (src == dst || !covered.reachable(src, dst)) return false;
+  // Explicit builders fold their fault rule into `covered`.
+  if (faults == nullptr || !faults->enabled() || form == StreamForm::kExplicit) {
+    return true;
   }
   if (stream.relay == RelayRule::kLinearAxis) {
     return relay_for(src, dst, faults, memo) >= 0;
@@ -143,9 +143,7 @@ std::uint64_t ScheduleExecutor::make_combined_tag(std::uint32_t op_index) {
 ScheduleExecutor::ScheduleExecutor(const net::NetworkConfig& config,
                                    CommSchedule schedule, DeliveryMatrix* matrix,
                                    const net::FaultPlan* faults)
-    : config_(config), schedule_(std::move(schedule)) {
-  matrix_ = matrix;
-  faults_ = faults;
+    : matrix_(matrix), faults_(faults), config_(config), schedule_(std::move(schedule)) {
   assert(!schedule_.phases.empty());
   assert(!schedule_.fifo_classes.empty());
 
@@ -574,7 +572,9 @@ void ScheduleExecutor::on_timer(topo::Rank node, std::uint64_t cookie) {
 }
 
 void ScheduleExecutor::mark_reachable(PairMask& mask) const {
-  if (faults_ == nullptr || !faults_->enabled()) return;
+  if ((faults_ == nullptr || !faults_->enabled()) && schedule_.covered.nodes() == 0) {
+    return;
+  }
   for (topo::Rank s = 0; s < mask.nodes(); ++s) {
     for (topo::Rank d = 0; d < mask.nodes(); ++d) {
       if (s != d && !schedule_.pair_covered(s, d, faults_)) {

@@ -1,8 +1,8 @@
-// Communication-schedule IR: one declarative description of an all-to-all
-// algorithm, interpreted against the fabric by a single ScheduleExecutor.
+// Communication-schedule IR: one declarative description of a collective,
+// interpreted against the fabric by a single ScheduleExecutor.
 //
-// A CommSchedule captures what used to live in five bespoke StrategyClient
-// subclasses: the phase structure (pipelined vs. barrier-gated), the wire
+// A CommSchedule captures what used to live in bespoke per-strategy fabric
+// clients: the phase structure (pipelined vs. barrier-gated), the wire
 // shape of each message, the injection-FIFO class discipline, CPU cost
 // parameters, relay rules and credit flow control. Strategies become pure
 // *schedule builders* — functions of (config, msg_bytes, tuning, fault plan)
@@ -13,10 +13,12 @@
 // simulation, and the same transfer enumeration drives the CSV/JSON dumps.
 //
 // Two stream forms keep the IR compact at scale:
-//  - kOrdered: per-node generative streams (a DestOrder permutation walked
-//    in rounds of `burst` packets, with an optional relay rule). This covers
-//    the direct family and TPS without materializing O(P^2) transfer
-//    records, so the 20,480-node paper partitions still build in O(P).
+//  - kOrdered: per-node generative streams (a DestOrder walked in rounds of
+//    `burst` packets, with an optional relay rule). This covers the direct
+//    family and TPS without materializing O(P^2) transfer records, so the
+//    20,480-node paper partitions still build in O(P). A DestOrder may also
+//    be an explicit per-node list, which is how many-to-many patterns run
+//    (build_pattern_schedule in many_to_many.hpp).
 //  - kExplicit: per-node op lists (vmesh's combined messages, hand-built
 //    schedules). Each op is one wire message with an optional finalize list
 //    naming the original sources whose blocks it carries.
@@ -36,8 +38,9 @@
 #include <vector>
 
 #include "src/coll/dest_order.hpp"
-#include "src/coll/strategy_client.hpp"
+#include "src/coll/verify.hpp"
 #include "src/network/config.hpp"
+#include "src/network/fabric.hpp"
 #include "src/network/faults.hpp"
 #include "src/runtime/packetizer.hpp"
 #include "src/topology/torus.hpp"
@@ -196,9 +199,12 @@ struct CommSchedule {
   std::vector<SendOp> ops;              // grouped by node, phase-major
   std::vector<std::uint32_t> op_begin;  // nodes + 1 offsets into `ops`
   std::vector<topo::Rank> finalize_pool;
-  /// Pair coverage claimed by the builder under its fault plan (empty =
-  /// every off-diagonal pair). The linter cross-checks this claim against
-  /// the enumerated transfers.
+
+  /// The pairs this schedule carries, in either form (empty = every
+  /// off-diagonal pair): a many-to-many pattern, a repair epoch's residual,
+  /// or the pairs an explicit builder still serves under its fault plan.
+  /// pair_covered checks it before any fault rule, and the linter
+  /// cross-checks the claim against the enumerated transfers.
   PairMask covered;
 
   // --- barrier gating (explicit form; one BarrierSpec per kLocalBarrier
@@ -225,8 +231,8 @@ struct CommSchedule {
                        const net::FaultPlan* faults,
                        net::FaultPlan::RouteMemo* memo = nullptr) const;
 
-  /// Whether this schedule carries (src, dst) under `faults` — the IR-derived
-  /// replacement for the per-strategy mark_reachable overrides.
+  /// Whether this schedule carries (src, dst) under `faults`: the pair is in
+  /// `covered` and, under faults, the form's relay or path rule serves it.
   bool pair_covered(topo::Rank src, topo::Rank dst,
                     const net::FaultPlan* faults,
                     net::FaultPlan::RouteMemo* memo = nullptr) const;
@@ -254,23 +260,46 @@ struct CommSchedule {
               net::FaultPlan::RouteMemo* memo) const;
 };
 
+/// One unit of relay custody stranded at a fail-stopped node: payload a dead
+/// custodian accepted for (orig_src -> final_dst) and can never re-inject.
+/// The recovery layer re-sources these pairs from their original senders in
+/// a repair epoch (see src/coll/recovery.hpp).
+struct StrandedRelay {
+  topo::Rank orig_src = -1;
+  topo::Rank final_dst = -1;
+  std::uint64_t payload_bytes = 0;
+};
+
 /// Interprets any CommSchedule against the fabric: per-node stream cursors,
 /// FIFO-class rotation, store-and-forward relaying with credit flow control,
 /// barrier gating with the local compute timer, delivery recording and
-/// IR-derived reachability. Wrapped by rt::ReliableClient under faults
-/// exactly like the legacy clients.
-class ScheduleExecutor : public StrategyClient {
+/// IR-derived reachability. The only fabric client of the collectives;
+/// wrapped by rt::ReliableClient under faults (tests/golden/
+/// reliability_equivalence.txt pins that layer).
+class ScheduleExecutor : public net::Client {
  public:
   ScheduleExecutor(const net::NetworkConfig& config, CommSchedule schedule,
                    DeliveryMatrix* matrix, const net::FaultPlan* faults = nullptr);
+
+  void bind(net::Fabric& fabric) { fabric_ = &fabric; }
 
   bool next_packet(topo::Rank node, net::InjectDesc& out) override;
   void on_delivery(topo::Rank node, const net::Packet& packet) override;
   void on_timer(topo::Rank node, std::uint64_t cookie) override;
 
-  /// Reachability comes from the schedule IR (CommSchedule::pair_covered),
-  /// not from per-strategy logic.
-  void mark_reachable(PairMask& mask) const override;
+  /// Completion time of the collective: the last delivery of *final*
+  /// application data (excludes e.g. credit packets).
+  net::Tick completion_cycles() const { return completion_.load(std::memory_order_relaxed); }
+
+  /// Final application packets delivered so far (for progress checks).
+  std::uint64_t final_deliveries() const {
+    return final_deliveries_.load(std::memory_order_relaxed);
+  }
+
+  /// Clears `mask` bits for pairs the schedule does not carry
+  /// (CommSchedule::pair_covered under the executor's fault plan). No-op on
+  /// a fault-free schedule that carries every pair.
+  void mark_reachable(PairMask& mask) const;
 
   /// Relay payload parked in the forward queues of nodes `plan` marks
   /// fail-stopped: accepted into custody, never re-injectable (see
@@ -279,11 +308,15 @@ class ScheduleExecutor : public StrategyClient {
   /// forward queue; an op counts once its phase's barrier opened (the stage
   /// inputs had all arrived), a deliberate lower bound — partially-arrived
   /// stage inputs are not itemizable per origin.
-  std::uint64_t stranded_relay_bytes(const net::FaultPlan& plan) const override;
+  std::uint64_t stranded_relay_bytes(const net::FaultPlan& plan) const;
 
-  /// Itemized view of the same custody (see StrategyClient).
+  /// Itemizes the same custody, one record per stranded (orig_src,
+  /// final_dst) unit, appended to `out` in deterministic order. The
+  /// epoch-recovery layer uses the records to decide which pairs a repair
+  /// schedule must re-source and to account what stays stranded when a pair
+  /// is unrecoverable.
   void collect_stranded(const net::FaultPlan& plan,
-                        std::vector<StrandedRelay>& out) const override;
+                        std::vector<StrandedRelay>& out) const;
 
   const CommSchedule& schedule() const { return schedule_; }
   std::uint64_t credit_packets_sent() const {
@@ -324,8 +357,8 @@ class ScheduleExecutor : public StrategyClient {
     std::vector<std::uint64_t> barrier_left;
     // Relaying.
     std::deque<Forward> forwards;
-    // Per-FIFO-class rotation counters (uint8 wrap matches the legacy
-    // clients' counters bit-for-bit).
+    // Per-FIFO-class rotation counters (the uint8 wrap is part of the
+    // behavior tests/golden/schedule_equivalence.txt pins).
     std::vector<std::uint8_t> fifo_rr;
     // Credit flow control, indexed by the peer's relay-axis coordinate.
     std::vector<std::int32_t> outstanding;
@@ -352,6 +385,24 @@ class ScheduleExecutor : public StrategyClient {
   void note_dep_delivery(topo::Rank orig_src, topo::Rank dst,
                          std::uint32_t payload_bytes);
 
+  // Delivery bookkeeping is thread-safe: under a parallel run concurrent
+  // slabs deliver concurrently. Relaxed ordering suffices (monotone counters,
+  // merged views only read after the run joins); on a single-threaded run
+  // the values are bit-identical to plain fields.
+  void note_final_delivery() {
+    final_deliveries_.fetch_add(1, std::memory_order_relaxed);
+    net::Tick at = fabric_->now();
+    net::Tick seen = completion_.load(std::memory_order_relaxed);
+    while (seen < at &&
+           !completion_.compare_exchange_weak(seen, at, std::memory_order_relaxed)) {
+    }
+  }
+
+  net::Fabric* fabric_ = nullptr;
+  DeliveryMatrix* matrix_ = nullptr;
+  const net::FaultPlan* faults_ = nullptr;  // owned by the caller; may be null
+  std::atomic<net::Tick> completion_{0};
+  std::atomic<std::uint64_t> final_deliveries_{0};
   net::NetworkConfig config_;
   CommSchedule schedule_;
   std::vector<NodeState> nodes_;

@@ -150,10 +150,10 @@ bool check_structure(const CommSchedule& sched, LintReport& report) {
         safe = false;
       }
     }
-    if (sched.covered.nodes() != 0 && sched.covered.nodes() != sched.nodes()) {
-      add(report, "structure", "coverage mask not sized to the node count");
-      safe = false;
-    }
+  }
+  if (sched.covered.nodes() != 0 && sched.covered.nodes() != sched.nodes()) {
+    add(report, "structure", "coverage mask not sized to the node count");
+    safe = false;
   }
   return safe;
 }

@@ -1,7 +1,7 @@
 // Static schedule validation — no simulation required.
 //
 // schedule_lint() checks a CommSchedule against the invariants every
-// correct all-to-all schedule must satisfy:
+// correct schedule must satisfy:
 //
 //   structure    phase/FIFO-class/op indices well-formed, barrier metadata
 //                consistent, ordered streams long enough for their message;

@@ -38,8 +38,8 @@ int choose_linear_axis(const topo::Shape& shape) {
   return shape.longest_axis();
 }
 
-CommSchedule build_tps_schedule(const net::NetworkConfig& config,
-                                std::uint64_t msg_bytes, const TpsTuning& tuning) {
+CommSchedule build_tps_frame(const net::NetworkConfig& config,
+                             std::uint64_t msg_bytes, const TpsTuning& tuning) {
   CommSchedule sched;
   sched.shape = config.shape;
   sched.torus = topo::Torus{config.shape};
@@ -70,7 +70,8 @@ CommSchedule build_tps_schedule(const net::NetworkConfig& config,
   sched.phases.push_back(std::move(planar));
 
   // Even without reserved groups the two phases keep separate rotation
-  // counters over the full FIFO range, matching the legacy client.
+  // counters over the full FIFO range (tps_no_reserved in
+  // tests/golden/schedule_equivalence.txt pins this).
   FifoClass group1, group2;
   if (tuning.reserved_fifos && config.injection_fifos >= 2) {
     const int half = config.injection_fifos / 2;
@@ -88,7 +89,12 @@ CommSchedule build_tps_schedule(const net::NetworkConfig& config,
     sched.credits.batch = tuning.credit_batch;
     sched.credits.credit_cpu_cycles = tuning.credit_cpu_cycles;
   }
+  return sched;
+}
 
+CommSchedule build_tps_schedule(const net::NetworkConfig& config,
+                                std::uint64_t msg_bytes, const TpsTuning& tuning) {
+  CommSchedule sched = build_tps_frame(config, msg_bytes, tuning);
   const auto nodes = static_cast<std::size_t>(config.shape.nodes());
   util::Xoshiro256StarStar master(config.seed ^ 0x79511ULL);
   sched.orders.reserve(nodes);

@@ -51,4 +51,10 @@ int choose_linear_axis(const topo::Shape& shape);
 CommSchedule build_tps_schedule(const net::NetworkConfig& config,
                                 std::uint64_t msg_bytes, const TpsTuning& tuning);
 
+/// build_tps_schedule without the destination orders (phases, FIFO classes,
+/// relay rule and credits), for builders that bring their own, such as
+/// build_pattern_schedule.
+CommSchedule build_tps_frame(const net::NetworkConfig& config,
+                             std::uint64_t msg_bytes, const TpsTuning& tuning);
+
 }  // namespace bgl::coll

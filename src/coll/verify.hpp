@@ -16,23 +16,25 @@
 
 namespace bgl::coll {
 
-/// Which ordered (src, dst) pairs a strategy can still serve under the run's
-/// fault plan. Default-constructed (or nodes() == 0) means "everything
-/// reachable" — the fault-free case costs nothing. Strategies fill it via
-/// StrategyClient::mark_reachable.
+/// A set of ordered (src, dst) pairs: the pairs a schedule carries, or the
+/// pairs a run owes (those it carries and can still serve under the run's
+/// fault plan). Default-constructed (or nodes() == 0) means "every pair" —
+/// the fault-free all-to-all costs nothing. ScheduleExecutor::mark_reachable
+/// fills a run's mask from CommSchedule::pair_covered.
 class PairMask {
  public:
   PairMask() = default;
-  explicit PairMask(std::int32_t nodes)
+  explicit PairMask(std::int32_t nodes, bool reachable = true)
       : nodes_(nodes),
-        reachable_(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(nodes), 1) {}
+        reachable_(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(nodes),
+                   reachable ? 1 : 0) {}
 
   void set_unreachable(topo::Rank src, topo::Rank dst) {
     reachable_[index(src, dst)] = 0;
   }
 
   /// Re-marks a pair reachable (sparse coverage masks built bottom-up, e.g.
-  /// a repair schedule covering only its residual pairs).
+  /// a repair schedule's residual or a many-to-many pattern).
   void set_reachable(topo::Rank src, topo::Rank dst) {
     reachable_[index(src, dst)] = 1;
   }

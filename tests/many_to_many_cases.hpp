@@ -1,8 +1,8 @@
 // The many-to-many equivalence cases, shared by the equivalence test and
 // tools/equivalence_golden, which regenerates the pinned metrics under
 // tests/golden/many_to_many_equivalence.txt. The golden was captured from the
-// hand-written SparseClient transport; whatever runs a Pattern must keep
-// reproducing it bit for bit.
+// hand-written SparseClient transport that pattern schedules replaced; they
+// must keep reproducing it bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -10,7 +10,6 @@
 #include <string>
 
 #include "src/coll/many_to_many.hpp"
-#include "src/network/fabric.hpp"
 #include "tests/equivalence_cases.hpp"
 
 namespace bgl::coll {
@@ -55,6 +54,7 @@ inline Pattern m2m_pattern(const M2MCase& c) {
 
 struct M2MRecord {
   bool drained = false;
+  bool reachable_complete = false;  // every pattern pair whole, nothing else
   std::uint64_t elapsed = 0;
   std::uint64_t events = 0;
   std::uint64_t packets = 0;
@@ -76,34 +76,28 @@ struct M2MRecord {
   }
 };
 
-/// Runs one case on the SparseClient transport, driven directly by a Fabric
-/// (seed 1234, the case's slab-thread count).
+/// Runs one case's pattern schedule through run_schedule with delivery
+/// recording (seed 1234, the case's slab-thread count).
 inline M2MRecord run_m2m_case(const M2MCase& c) {
-  net::NetworkConfig net;
-  net.shape = topo::parse_shape(c.shape);
-  net.seed = 1234;
-  net.sim_threads = c.threads;
-  const Pattern pattern = m2m_pattern(c);
-  DeliveryMatrix matrix(static_cast<std::int32_t>(net.shape.nodes()));
-
-  ManyToManyOptions options;
-  options.net = net;
+  AlltoallOptions options;
+  options.net.shape = topo::parse_shape(c.shape);
+  options.net.seed = 1234;
+  options.net.sim_threads = c.threads;
   options.msg_bytes = c.msg_bytes;
-  options.mode = c.kind == StrategyKind::kDeterministic ? net::RoutingMode::kDeterministic
-                                                        : net::RoutingMode::kAdaptive;
-  options.two_phase = c.kind == StrategyKind::kTwoPhase;
+  DeliveryMatrix matrix(static_cast<std::int32_t>(options.net.shape.nodes()));
   options.deliveries = &matrix;
-  SparseClient client(net, pattern, options);
-  net::Fabric fabric(net, client);
-  client.bind(fabric);
+  const RunResult result = run_schedule(
+      build_pattern_schedule(c.kind, options.net, m2m_pattern(c), c.msg_bytes), options,
+      strategy_name(c.kind));
 
   M2MRecord r;
-  r.drained = fabric.run();
-  r.elapsed = client.completion_cycles();
-  r.events = fabric.events_processed();
-  r.packets = fabric.stats().packets_delivered;
-  r.payload = fabric.stats().payload_bytes_delivered;
-  r.links_mean = trace::summarize_links(fabric, r.elapsed).overall_mean;
+  r.drained = result.drained;
+  r.reachable_complete = result.reachable_complete;
+  r.elapsed = result.elapsed_cycles;
+  r.events = result.events;
+  r.packets = result.packets_delivered;
+  r.payload = result.payload_bytes;
+  r.links_mean = result.links.overall_mean;
   r.matrix_fnv = equiv_matrix_fnv(matrix);
   return r;
 }

@@ -5,19 +5,28 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 
-#include "src/network/fabric.hpp"
+#include "src/coll/schedule_lint.hpp"
+#include "src/network/faults.hpp"
 #include "tests/many_to_many_cases.hpp"
 
 namespace bgl::coll {
 namespace {
 
-net::NetworkConfig make_config(const char* shape, std::uint64_t seed = 1) {
-  net::NetworkConfig config;
-  config.shape = topo::parse_shape(shape);
-  config.seed = seed;
-  return config;
+AlltoallOptions make_options(const char* shape, std::uint64_t msg_bytes = 240) {
+  AlltoallOptions options;
+  options.net.shape = topo::parse_shape(shape);
+  options.net.seed = 1;
+  options.msg_bytes = msg_bytes;
+  return options;
+}
+
+RunResult run_pattern(StrategyKind kind, const Pattern& pattern,
+                      const AlltoallOptions& options) {
+  return run_schedule(build_pattern_schedule(kind, options.net, pattern, options.msg_bytes),
+                      options, strategy_name(kind));
 }
 
 TEST(Pattern, RandomSubsetHasExactFanout) {
@@ -30,6 +39,12 @@ TEST(Pattern, RandomSubsetHasExactFanout) {
     EXPECT_EQ(unique.count(static_cast<topo::Rank>(n)), 0u);
   }
   EXPECT_EQ(pattern.total_messages(), 64u * 5u);
+}
+
+TEST(Pattern, RandomSubsetRejectsFanoutAbovePeers) {
+  EXPECT_EQ(Pattern::random_subset(64, 63, 9).total_messages(), 64u * 63u);
+  EXPECT_THROW(Pattern::random_subset(64, 64, 9), std::invalid_argument);
+  EXPECT_THROW(Pattern::random_subset(64, -1, 9), std::invalid_argument);
 }
 
 TEST(Pattern, HaloMatchesTorusNeighbors) {
@@ -58,21 +73,29 @@ TEST(Pattern, GridPartnersRowAndColumn) {
   EXPECT_EQ(actual, expected);
 }
 
+TEST(Pattern, GridPartnersRejectsColumnsThatDoNotDivide) {
+  // 10 ranks in 4 columns would name ranks 10 and 11; 0 columns divides by 0.
+  EXPECT_THROW(Pattern::grid_partners(10, 4), std::invalid_argument);
+  EXPECT_THROW(Pattern::grid_partners(16, 0), std::invalid_argument);
+  EXPECT_THROW(Pattern::grid_partners(16, -4), std::invalid_argument);
+}
+
 class M2MTransport : public ::testing::TestWithParam<bool> {};
 
 TEST_P(M2MTransport, DeliversEveryMessageExactlyOnce) {
-  const bool two_phase = GetParam();
-  ManyToManyOptions options;
-  options.net = make_config("4x4x8");
-  options.msg_bytes = 333;
-  options.two_phase = two_phase;
+  const StrategyKind kind =
+      GetParam() ? StrategyKind::kTwoPhase : StrategyKind::kAdaptiveRandom;
+  AlltoallOptions options = make_options("4x4x8", 333);
   DeliveryMatrix matrix(static_cast<std::int32_t>(options.net.shape.nodes()));
   options.deliveries = &matrix;
 
   const auto pattern = Pattern::random_subset(128, 7, 3);
-  const auto result = run_many_to_many(pattern, options);
+  const RunResult result = run_pattern(kind, pattern, options);
   EXPECT_TRUE(result.drained);
-  EXPECT_EQ(result.messages, 128u * 7u);
+  EXPECT_TRUE(result.reachable_complete);
+  EXPECT_EQ(result.pairs_complete, 128u * 7u);
+  // Pairs outside the pattern are not owed.
+  EXPECT_EQ(result.unreachable_pairs, 128u * 127u - 128u * 7u);
 
   // Exactly the patterned pairs received exactly msg_bytes.
   for (topo::Rank s = 0; s < 128; ++s) {
@@ -86,51 +109,148 @@ TEST_P(M2MTransport, DeliversEveryMessageExactlyOnce) {
 }
 
 TEST_P(M2MTransport, HaloCompletes) {
-  const bool two_phase = GetParam();
-  ManyToManyOptions options;
-  options.net = make_config("4x4x4");
-  options.msg_bytes = 1024;
-  options.two_phase = two_phase;
-  const auto pattern = Pattern::halo(options.net.shape);
-  const auto result = run_many_to_many(pattern, options);
+  const StrategyKind kind =
+      GetParam() ? StrategyKind::kTwoPhase : StrategyKind::kAdaptiveRandom;
+  AlltoallOptions options = make_options("4x4x4", 1024);
+  options.verify = true;
+  const RunResult result = run_pattern(kind, Pattern::halo(options.net.shape), options);
   EXPECT_TRUE(result.drained);
+  EXPECT_TRUE(result.reachable_complete);
   EXPECT_GT(result.elapsed_cycles, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(DirectAndTwoPhase, M2MTransport, ::testing::Bool());
 
 TEST(M2M, TwoPhaseUsesChosenLinearAxis) {
-  ManyToManyOptions options;
-  options.net = make_config("4x4x8");
-  options.two_phase = true;
-  const auto pattern = Pattern::random_subset(128, 3, 1);
-  SparseClient client(options.net, pattern, options);
-  EXPECT_EQ(client.linear_axis(), topo::kZ);
+  const AlltoallOptions options = make_options("4x4x8");
+  const CommSchedule sched =
+      build_pattern_schedule(StrategyKind::kTwoPhase, options.net,
+                             Pattern::random_subset(128, 3, 1), options.msg_bytes);
+  EXPECT_EQ(sched.stream.relay, RelayRule::kLinearAxis);
+  EXPECT_EQ(sched.stream.relay_axis, topo::kZ);
+  EXPECT_TRUE(schedule_lint(sched).ok());
 }
 
 TEST(M2M, DeterministicRoutingWorksToo) {
-  ManyToManyOptions options;
-  options.net = make_config("4x4x4");
-  options.mode = net::RoutingMode::kDeterministic;
-  options.msg_bytes = 100;
-  DeliveryMatrix matrix(64);
-  options.deliveries = &matrix;
-  const auto pattern = Pattern::random_subset(64, 4, 5);
-  const auto result = run_many_to_many(pattern, options);
+  AlltoallOptions options = make_options("4x4x4", 100);
+  options.verify = true;
+  const RunResult result = run_pattern(StrategyKind::kDeterministic,
+                                       Pattern::random_subset(64, 4, 5), options);
   EXPECT_TRUE(result.drained);
+  EXPECT_TRUE(result.reachable_complete);
   EXPECT_EQ(result.packets_delivered, 64u * 4u);
 }
 
 TEST(M2M, EmptyPatternFinishesImmediately) {
-  ManyToManyOptions options;
-  options.net = make_config("4x4x4");
+  const AlltoallOptions options = make_options("4x4x4");
   Pattern pattern;
   pattern.dests.resize(64);
-  const auto result = run_many_to_many(pattern, options);
+  const RunResult result = run_pattern(StrategyKind::kAdaptiveRandom, pattern, options);
   EXPECT_TRUE(result.drained);
   EXPECT_EQ(result.elapsed_cycles, 0u);
-  EXPECT_EQ(result.messages, 0u);
+  EXPECT_EQ(pattern.total_messages(), 0u);
 }
+
+TEST(M2M, PatternScheduleRejectsOtherStrategies) {
+  const AlltoallOptions options = make_options("4x4x4");
+  const Pattern pattern = Pattern::halo(options.net.shape);
+  for (const StrategyKind kind : {StrategyKind::kMpi, StrategyKind::kThrottled,
+                                  StrategyKind::kVirtualMesh, StrategyKind::kBest}) {
+    EXPECT_THROW(build_pattern_schedule(kind, options.net, pattern, 240),
+                 std::invalid_argument)
+        << strategy_name(kind);
+  }
+}
+
+TEST(M2M, PatternScheduleRejectsMalformedPatterns) {
+  const AlltoallOptions options = make_options("4x4x4");
+  const auto build = [&](const Pattern& pattern) {
+    return build_pattern_schedule(StrategyKind::kAdaptiveRandom, options.net, pattern, 240);
+  };
+  Pattern short_pattern;
+  short_pattern.dests.resize(63);
+  EXPECT_THROW(build(short_pattern), std::invalid_argument);
+
+  Pattern out_of_range;
+  out_of_range.dests.resize(64);
+  out_of_range.dests[3] = {1, 64};
+  EXPECT_THROW(build(out_of_range), std::invalid_argument);
+  out_of_range.dests[3] = {-1};
+  EXPECT_THROW(build(out_of_range), std::invalid_argument);
+
+  Pattern twice;
+  twice.dests.resize(64);
+  twice.dests[7] = {2, 9, 2};
+  EXPECT_THROW(build(twice), std::invalid_argument);
+}
+
+// Pattern runs join the fault, reliability and recovery contracts: under
+// each spec every case lints clean against what planning sees, drains,
+// delivers every pair it still owes exactly once, rejects every corrupted
+// payload, and accounts every ordered pair as complete or not owed.
+struct M2MFaultCase {
+  const char* name;
+  const char* spec;
+  int threads;
+};
+
+const M2MFaultCase kM2MFaultCases[] = {
+    {"dead_links_t1", "link:0.03", 1},
+    {"dead_links_t4", "link:0.03", 4},
+    {"lossy_t1", "link:0.02,drop:1e-3,corrupt:5e-4", 1},
+    {"lossy_t4", "link:0.02,drop:1e-3,corrupt:5e-4", 4},
+    {"node_strike_t1", "node:1,fail_at:3000", 1},
+    {"node_strike_t4", "node:1,fail_at:3000", 4},
+};
+
+class ManyToManyFaults : public ::testing::TestWithParam<M2MFaultCase> {};
+
+TEST_P(ManyToManyFaults, PatternsKeepTheDeliveryContract) {
+  const M2MFaultCase& fc = GetParam();
+  struct PatternRun {
+    StrategyKind kind;
+    const char* shape;
+    M2MPattern pattern;
+    int param;
+  };
+  const PatternRun runs[] = {
+      {StrategyKind::kAdaptiveRandom, "4x4x8", M2MPattern::kRandom, 7},
+      {StrategyKind::kDeterministic, "4x4x8", M2MPattern::kHalo, 0},
+      {StrategyKind::kTwoPhase, "4x4x8", M2MPattern::kRandom, 16},
+      {StrategyKind::kTwoPhase, "4Mx4x4", M2MPattern::kGrid, 8},
+  };
+  for (const PatternRun& run : runs) {
+    const M2MCase c{"", run.kind, run.shape, run.pattern, run.param, 480, fc.threads};
+    SCOPED_TRACE(strategy_name(run.kind) + " on " + run.shape);
+    AlltoallOptions options = make_options(run.shape, 480);
+    options.net.sim_threads = fc.threads;
+    options.net.faults = net::parse_fault_spec(fc.spec);
+    options.verify = true;
+
+    CommSchedule sched =
+        build_pattern_schedule(run.kind, options.net, m2m_pattern(c), options.msg_bytes);
+    const net::FaultPlan plan(options.net, options.net.shape);
+    const bool blind = options.net.faults.fail_at > 0;
+    const LintReport lint = schedule_lint(sched, blind ? nullptr : &plan);
+    EXPECT_TRUE(lint.ok()) << lint.to_string();
+
+    const RunResult result = run_schedule(std::move(sched), options, strategy_name(run.kind));
+    const auto nodes = static_cast<std::uint64_t>(options.net.shape.nodes());
+    EXPECT_TRUE(result.drained);
+    EXPECT_TRUE(result.verified);
+    EXPECT_TRUE(result.reachable_complete);
+    EXPECT_EQ(result.reliability.corrupt_rejected, result.faults.corrupted_payloads);
+    EXPECT_EQ(result.pairs_complete + result.unreachable_pairs, nodes * (nodes - 1));
+    EXPECT_GT(result.pairs_complete, 0u);
+    EXPECT_EQ(result.faults.stranded_relay_bytes, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Specs, ManyToManyFaults, ::testing::ValuesIn(kM2MFaultCases),
+    [](const ::testing::TestParamInfo<M2MFaultCase>& param) {
+      return std::string(param.param.name);
+    });
 
 // Every pattern case must reproduce, bit for bit, the record pinned from the
 // SparseClient transport in tests/golden/many_to_many_equivalence.txt
@@ -162,6 +282,7 @@ TEST_P(ManyToManyEquivalence, MatchesGolden) {
   ASSERT_NE(it, m2m_golden().end()) << "no golden record for " << c.name;
   const M2MRecord record = run_m2m_case(c);
   EXPECT_TRUE(record.drained);
+  EXPECT_TRUE(record.reachable_complete);
   EXPECT_EQ(record.to_string(), it->second)
       << "fields: elapsed events packets payload links_mean matrix_fnv";
 }

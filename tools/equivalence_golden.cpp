@@ -17,7 +17,8 @@
 //
 // many_to_many: elapsed, events, packets, payload, mean link utilization and
 // the delivery-matrix FNV of the pattern cases (tests/many_to_many_cases.hpp),
-// captured from the hand-written SparseClient transport.
+// captured from the hand-written SparseClient transport that pattern
+// schedules replaced.
 //
 // Rerun this only when an intentional behavior change re-pins a suite (and
 // say so in the commit).

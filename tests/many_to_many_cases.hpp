@@ -37,7 +37,8 @@ inline const M2MCase kM2MCases[] = {
     {"dr_halo_8x8", StrategyKind::kDeterministic, "8x8", M2MPattern::kHalo, 0, 240, 1},
     {"tps_random8_8x8", StrategyKind::kTwoPhase, "8x8", M2MPattern::kRandom, 8, 480, 1},
     {"ar_grid_4x4x4x4", StrategyKind::kAdaptiveRandom, "4x4x4x4", M2MPattern::kGrid, 16, 240, 1},
-    {"tps_random12_4x4x4x4_t2", StrategyKind::kTwoPhase, "4x4x4x4", M2MPattern::kRandom, 12, 300, 2},
+    {"tps_random12_4x4x4x4_t2", StrategyKind::kTwoPhase, "4x4x4x4", M2MPattern::kRandom, 12, 300,
+     2},
     {"tps_random16_8x8x16_t4", StrategyKind::kTwoPhase, "8x8x16", M2MPattern::kRandom, 16, 960, 4},
 };
 

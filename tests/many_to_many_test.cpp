@@ -207,28 +207,21 @@ class ManyToManyFaults : public ::testing::TestWithParam<M2MFaultCase> {};
 
 TEST_P(ManyToManyFaults, PatternsKeepTheDeliveryContract) {
   const M2MFaultCase& fc = GetParam();
-  struct PatternRun {
-    StrategyKind kind;
-    const char* shape;
-    M2MPattern pattern;
-    int param;
+  const M2MCase runs[] = {
+      {"ar_random7_4x4x8", StrategyKind::kAdaptiveRandom, "4x4x8", M2MPattern::kRandom, 7, 480, 1},
+      {"dr_halo_4x4x8", StrategyKind::kDeterministic, "4x4x8", M2MPattern::kHalo, 0, 480, 1},
+      {"tps_random16_4x4x8", StrategyKind::kTwoPhase, "4x4x8", M2MPattern::kRandom, 16, 480, 1},
+      {"tps_grid_4Mx4x4", StrategyKind::kTwoPhase, "4Mx4x4", M2MPattern::kGrid, 8, 480, 1},
   };
-  const PatternRun runs[] = {
-      {StrategyKind::kAdaptiveRandom, "4x4x8", M2MPattern::kRandom, 7},
-      {StrategyKind::kDeterministic, "4x4x8", M2MPattern::kHalo, 0},
-      {StrategyKind::kTwoPhase, "4x4x8", M2MPattern::kRandom, 16},
-      {StrategyKind::kTwoPhase, "4Mx4x4", M2MPattern::kGrid, 8},
-  };
-  for (const PatternRun& run : runs) {
-    const M2MCase c{"", run.kind, run.shape, run.pattern, run.param, 480, fc.threads};
-    SCOPED_TRACE(strategy_name(run.kind) + " on " + run.shape);
-    AlltoallOptions options = make_options(run.shape, 480);
+  for (const M2MCase& run : runs) {
+    SCOPED_TRACE(run.name);
+    AlltoallOptions options = make_options(run.shape, run.msg_bytes);
     options.net.sim_threads = fc.threads;
     options.net.faults = net::parse_fault_spec(fc.spec);
     options.verify = true;
 
     CommSchedule sched =
-        build_pattern_schedule(run.kind, options.net, m2m_pattern(c), options.msg_bytes);
+        build_pattern_schedule(run.kind, options.net, m2m_pattern(run), options.msg_bytes);
     const net::FaultPlan plan(options.net, options.net.shape);
     const bool blind = options.net.faults.fail_at > 0;
     const LintReport lint = schedule_lint(sched, blind ? nullptr : &plan);

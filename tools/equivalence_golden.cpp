@@ -3,6 +3,7 @@
 //   ./equivalence_golden > ../tests/golden/schedule_equivalence.txt
 //   ./equivalence_golden reliability > ../tests/golden/reliability_equivalence.txt
 //   ./equivalence_golden many_to_many > ../tests/golden/many_to_many_equivalence.txt
+//   ./equivalence_golden observer > ../tests/golden/observer_replay_order.txt
 //
 // schedule: the pinned per-case metrics of the 34-run equivalence suite
 // (17 cases x fault-free/faulted), captured from the build in which the
@@ -20,6 +21,10 @@
 // captured from the hand-written SparseClient transport that pattern
 // schedules replaced.
 //
+// observer: the grant count and the FNV-1a order hash of every hop-observer
+// call on the multi-slab observer cases (tests/observer_cases.hpp), where
+// grants are replayed from per-slab buffers in (tick, link id) order.
+//
 // Rerun this only when an intentional behavior change re-pins a suite (and
 // say so in the commit).
 #include <cstdio>
@@ -29,6 +34,7 @@
 #include "src/coll/alltoall.hpp"
 #include "tests/equivalence_cases.hpp"
 #include "tests/many_to_many_cases.hpp"
+#include "tests/observer_cases.hpp"
 #include "tests/reliability_cases.hpp"
 
 namespace {
@@ -110,13 +116,30 @@ int print_many_to_many_golden() {
   return 0;
 }
 
+int print_observer_golden() {
+  std::printf("# observer replay-order golden: %zu multi-slab cases\n",
+              std::size(kObserverCases));
+  std::printf("# name grants order_fnv\n");
+  for (const ObserverCase& c : kObserverCases) {
+    const ObserverRecord record = run_observer_case(c);
+    if (!record.drained || !record.reachable_complete) {
+      std::fprintf(stderr, "case %s did not drain and deliver\n", c.name);
+      return 1;
+    }
+    std::printf("%s %s\n", c.name, record.to_string().c_str());
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc > 2 || (argc == 2 && std::strcmp(argv[1], "schedule") != 0 &&
                    std::strcmp(argv[1], "reliability") != 0 &&
-                   std::strcmp(argv[1], "many_to_many") != 0)) {
-    std::fprintf(stderr, "usage: %s [schedule|reliability|many_to_many]\n", argv[0]);
+                   std::strcmp(argv[1], "many_to_many") != 0 &&
+                   std::strcmp(argv[1], "observer") != 0)) {
+    std::fprintf(stderr, "usage: %s [schedule|reliability|many_to_many|observer]\n",
+                 argv[0]);
     return 2;
   }
   if (argc == 2 && std::strcmp(argv[1], "reliability") == 0) {
@@ -125,5 +148,6 @@ int main(int argc, char** argv) {
   if (argc == 2 && std::strcmp(argv[1], "many_to_many") == 0) {
     return print_many_to_many_golden();
   }
+  if (argc == 2 && std::strcmp(argv[1], "observer") == 0) return print_observer_golden();
   return print_schedule_golden();
 }

@@ -102,8 +102,10 @@ struct AlltoallOptions {
 
   /// Optional per-hop observer forwarded to Fabric::set_hop_observer
   /// (link-level tracing). Observer runs stay parallel-eligible: on a
-  /// --sim-threads run grants are buffered per slab and replayed at each
-  /// window barrier in deterministic (tick, link id) order.
+  /// --sim-threads run grants are buffered per slab and replayed, one call
+  /// at a time, in deterministic (tick, link id) order on a slab worker
+  /// while the next window runs, so the observer must touch only its own
+  /// state (see Fabric::HopObserver).
   net::Fabric::HopObserver hop_observer;
 
   /// Optional per-pair delivery verification (small partitions only).

@@ -142,7 +142,7 @@ struct NetworkConfig {
   /// exactly, and completion times may differ from 1-thread runs only
   /// through the relaxed cross-slab credit-return timing. Fault injection
   /// and hop observers run parallel too (counter-based fault draws,
-  /// slab-owned fault state, barrier-drained observer buffers — see
+  /// slab-owned fault state, per-slab ordered observer logs — see
   /// DESIGN.md); only zero-cost-link configs (no lookahead window) and
   /// schedules with cross-node extra_deps fall back to 1 thread, and the
   /// fallback cause is reported in RunResult::sim_threads_reason.

@@ -21,6 +21,13 @@ constexpr int dir_index(int axis, int sign) noexcept { return axis * 2 + (sign >
 /// steady_clock read every ~8k events is noise even for micro benches).
 constexpr std::uint64_t kPollMask = 0x1fff;
 
+/// Replay order of buffered hop-observer grants: (tick, link id), a total
+/// order since a link grants at most once per tick.
+template <typename HopRecord>
+bool hop_before(const HopRecord& a, const HopRecord& b) noexcept {
+  return a.at != b.at ? a.at < b.at : a.link < b.link;
+}
+
 }  // namespace
 
 Fabric::Fabric(const NetworkConfig& config, Client& client)
@@ -174,6 +181,12 @@ bool Fabric::run(Tick deadline) {
         Shard& shard = shards_[static_cast<std::size_t>(index)];
         do {
           shard_step(shard, window_end_ - 1);  // window_end_ is exclusive and >= 1
+          // The first slab done with this window replays the previous
+          // window's grants while the others still simulate. It arrives only
+          // once the replay is over, so the barrier orders the replays.
+          if (hop_replay_pending_.load() && hop_replay_pending_.exchange(false)) {
+            replay_hop_logs();
+          }
           sync.arrive_and_wait();
         } while (!done_);
       };
@@ -182,6 +195,16 @@ bool Fabric::run(Tick deadline) {
       for (int i = 1; i < threads; ++i) pool.emplace_back(worker, i);
       worker(0);
       for (std::thread& t : pool) t.join();
+      // The last window's grants, so the observer has seen every grant when
+      // run() returns, also after a watchdog abort. After an exception, which
+      // is rethrown below, no later grant is replayed.
+      if (hop_replay_pending_.exchange(false)) {
+        if (error_) {
+          for (Shard& shard : shards_) shard.hop_replay.clear();
+        } else {
+          replay_hop_logs();
+        }
+      }
     }
   }
   merge_shard_stats();
@@ -222,8 +245,8 @@ int Fabric::plan_threads(ThreadFallbackReason* reason) const noexcept {
   }
   // The only remaining hard fallback: a zero lookahead window (zero-cost
   // links) would serialize the slabs anyway. Faults and hop observers are
-  // slab-eligible — counter-based fault draws and barrier-drained observer
-  // buffers need no global event order.
+  // slab-eligible — counter-based fault draws and per-slab ordered observer
+  // logs need no global event order.
   if (window_cycles_ == 0) {
     give(ThreadFallbackReason::kZeroWindow);
     return 1;
@@ -295,7 +318,23 @@ void Fabric::shard_step(Shard& shard, Tick limit) {
   } catch (...) {
     record_error(std::current_exception());
   }
+  order_hop_log(shard.hop_log);
   shard_ctx_ = nullptr;
+}
+
+void Fabric::order_hop_log(std::vector<HopRecord>& log) noexcept {
+  // An insertion pass: the log is in tick order, so a record only moves back
+  // within the run of records granted at its own tick.
+  for (std::size_t i = 1; i < log.size(); ++i) {
+    if (!hop_before(log[i], log[i - 1])) continue;
+    const HopRecord rec = log[i];
+    std::size_t j = i;
+    do {
+      log[j] = log[j - 1];
+      --j;
+    } while (j > 0 && hop_before(rec, log[j - 1]));
+    log[j] = rec;
+  }
 }
 
 void Fabric::record_error(std::exception_ptr error) noexcept {
@@ -310,12 +349,19 @@ void Fabric::barrier_phase(Tick deadline) noexcept {
   // Runs on exactly one thread, between the last arrive and the release:
   // every worker's window writes happen-before this and its reads
   // happen-after, so boundary application needs no further synchronization.
-  // Hop-observer buffers drain first (they describe the window just
-  // finished), then boundary messages in deterministic order: by source
-  // shard, then destination, then insertion. The wheel events they cause
-  // go to the destination's inbox, in that same order.
+  // The window's grant logs become the replay buffers (emptied by the
+  // previous window's replay, which ended before its replayer arrived),
+  // then boundary messages apply in deterministic order: by source shard,
+  // then destination, then insertion. The wheel events they cause go to the
+  // destination's inbox, in that same order.
+  if (hop_observer_) {
+    for (Shard& shard : shards_) {
+      assert(shard.hop_replay.empty());
+      shard.hop_log.swap(shard.hop_replay);
+    }
+    hop_replay_pending_.store(true);
+  }
   try {
-    if (hop_observer_) drain_hop_logs();
     for (Shard& src : shards_) {
       for (std::size_t d = 0; d < src.outbox.size(); ++d) {
         for (const BoundaryMsg& msg : src.outbox[d]) apply_boundary(src, shards_[d], msg);
@@ -393,23 +439,34 @@ void Fabric::apply_boundary(Shard& src, Shard& dst, const BoundaryMsg& msg) {
   }
 }
 
-void Fabric::drain_hop_logs() {
-  // Merge all slabs' buffered grants and replay them in (tick, link) order —
-  // total and deterministic, since a link grants at most once per tick.
-  hop_scratch_.clear();
-  for (Shard& shard : shards_) {
-    hop_scratch_.insert(hop_scratch_.end(), shard.hop_log.begin(), shard.hop_log.end());
-    shard.hop_log.clear();
+void Fabric::replay_hop_logs() noexcept {
+  // A k-way merge of the slabs' replay buffers, each in (tick, link) order;
+  // the observer reads every record in place.
+  try {
+    hop_cursors_.clear();
+    for (const Shard& shard : shards_) {
+      if (shard.hop_replay.empty()) continue;
+      hop_cursors_.push_back(
+          {shard.hop_replay.data(), shard.hop_replay.data() + shard.hop_replay.size()});
+    }
+    const auto dirs = static_cast<std::uint32_t>(dirs_);
+    while (!hop_cursors_.empty()) {
+      std::size_t best = 0;
+      for (std::size_t i = 1; i < hop_cursors_.size(); ++i) {
+        if (hop_before(*hop_cursors_[i].next, *hop_cursors_[best].next)) best = i;
+      }
+      HopCursor& cursor = hop_cursors_[best];
+      const HopRecord& rec = *cursor.next;
+      hop_observer_(rec.packet, static_cast<Rank>(rec.link / dirs),
+                    static_cast<int>(rec.link % dirs), rec.target);
+      if (++cursor.next == cursor.end) {
+        hop_cursors_.erase(hop_cursors_.begin() + static_cast<std::ptrdiff_t>(best));
+      }
+    }
+  } catch (...) {
+    record_error(std::current_exception());
   }
-  std::sort(hop_scratch_.begin(), hop_scratch_.end(),
-            [](const HopRecord& a, const HopRecord& b) {
-              return a.at != b.at ? a.at < b.at : a.link < b.link;
-            });
-  for (const HopRecord& rec : hop_scratch_) {
-    hop_observer_(rec.packet, static_cast<Rank>(rec.link / static_cast<std::uint32_t>(dirs_)),
-                  static_cast<int>(rec.link % static_cast<std::uint32_t>(dirs_)),
-                  rec.target);
-  }
+  for (Shard& shard : shards_) shard.hop_replay.clear();
 }
 
 void Fabric::merge_shard_stats() {
@@ -874,8 +931,8 @@ void Fabric::commit_grant(std::size_t lk, Rank node, int dir, Rank peer,
     if (shards_.size() == 1) {
       hop_observer_(granted, node, dir, target);
     } else {
-      // Buffered, not invoked: observers may touch cross-slab state, so the
-      // replay happens single-threaded at the window barrier.
+      // Buffered, not invoked: calls must not overlap, so the slabs' logs
+      // are merged and replayed by one thread during the next window.
       shard_ctx_->hop_log.push_back(
           {now(), static_cast<std::uint32_t>(lk), target, granted});
     }

@@ -241,10 +241,16 @@ class Fabric {
   /// node granting, direction index, downstream VC or kDeliverHere).
   /// For tests and tracing; adds a branch per grant when unset. A one-slab
   /// run calls it inline in grant order. With several slabs grants are
-  /// buffered per slab and the observer is invoked at each window barrier in
-  /// (tick, link id) order — a total, deterministic order (a link grants at
-  /// most once per tick), though generally different from the one-slab
-  /// interleaving across links.
+  /// buffered per slab, and each window's grants are replayed during the
+  /// next window in (tick, link id) order — a total, deterministic order (a
+  /// link grants at most once per tick), though generally different from
+  /// the one-slab interleaving across links. Calls never overlap, and every
+  /// grant of a run() call is observed before it returns.
+  ///
+  /// Thread contract with several slabs: the observer runs on a slab worker
+  /// thread while other slabs simulate, so it must touch only its own
+  /// state — never this Fabric or the Client. An exception it throws aborts
+  /// the run, run() rethrows it, and no later grant is replayed.
   using HopObserver = std::function<void(const Packet&, Rank, int, int)>;
   void set_hop_observer(HopObserver observer) { hop_observer_ = std::move(observer); }
 
@@ -314,8 +320,8 @@ class Fabric {
     bool is_credit = false;
   };
 
-  /// One buffered hop-observer grant (runs with several slabs): replayed at the
-  /// window barrier in (at, link) order. node/dir are derived from `link`.
+  /// One buffered hop-observer grant (runs with several slabs), replayed in
+  /// (at, link) order. node/dir are derived from `link`.
   struct HopRecord {
     Tick at = 0;
     std::uint32_t link = 0;
@@ -351,8 +357,12 @@ class Fabric {
     bool struck = false;
     bool sweep_scheduled = false;
     FaultPlan::RouteMemo route_memo;
-    /// Buffered hop-observer grants, drained at the window barrier.
+    /// Hop-observer grants of the window being simulated, in (at, link)
+    /// order once the slab's shard_step returns (see order_hop_log).
     std::vector<HopRecord> hop_log;
+    /// The previous window's grants, swapped in from hop_log at the barrier
+    /// and emptied by replay_hop_logs.
+    std::vector<HopRecord> hop_replay;
     /// Wheel events the barrier hands this slab (boundary arrivals and
     /// credit wakes), pushed by the slab's own worker when its next window
     /// starts: a wheel's buckets only ever grow in its owner's thread, so
@@ -400,7 +410,13 @@ class Fabric {
   void barrier_phase(Tick deadline) noexcept;
   void advance_window(Tick deadline);
   void merge_shard_stats();
-  void drain_hop_logs();
+  /// Sorts each run of equal ticks in the slab's grant log by link id; the
+  /// wheel pops in tick order, so the log is then in (at, link) order.
+  static void order_hop_log(std::vector<HopRecord>& log) noexcept;
+  /// Replays every slab's hop_replay buffer to the observer by a k-way merge
+  /// in (at, link) order, then empties the buffers. An observer exception
+  /// is recorded for run() to rethrow and ends the replay.
+  void replay_hop_logs() noexcept;
 
   // --- core simulation steps ---
   void handle(const sim::Event& event);
@@ -552,8 +568,18 @@ class Fabric {
   std::atomic<bool> abort_flag_{false};
   std::mutex error_mutex_;
   std::exception_ptr error_;  // guarded by error_mutex_
-  /// Scratch for the barrier's hop-observer drain (capacity reused).
-  std::vector<HopRecord> hop_scratch_;
+  /// Set by the barrier when it swaps the slabs' grant logs into their
+  /// replay buffers; the first worker to finish the next window clears it
+  /// and replays, and run() replays what is still pending when the workers
+  /// have joined.
+  std::atomic<bool> hop_replay_pending_{false};
+  /// Merge cursors of replay_hop_logs, one per slab with records left
+  /// (capacity reused).
+  struct HopCursor {
+    const HopRecord* next;
+    const HopRecord* end;
+  };
+  std::vector<HopCursor> hop_cursors_;
 
   // --- fault state (sized only when the fault plan is enabled) ---
   FaultPlan fault_plan_;

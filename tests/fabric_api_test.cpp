@@ -1,8 +1,12 @@
 // Tests for the fabric's client-facing API surface: timers, FIFO queries,
-// wake semantics and run-result accounting.
+// wake semantics, run-result accounting and the hop observer's contract.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <map>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/coll/alltoall.hpp"
@@ -277,6 +281,116 @@ TEST(FabricApi, OneSlabHopObserverRunsInlineInGrantOrder) {
     ASSERT_NE(it, delivery_grant.end()) << "delivery before its grant was observed";
     EXPECT_LE(it->second, client.delivery_times[i]);
   }
+}
+
+// With several slabs the observer is replayed from per-slab logs while the
+// next window runs; the tests below pin what it may rely on.
+
+/// RingTrafficClient's traffic, counting deliveries per node instead of
+/// logging them: a node's handlers run on its own slab only, so concurrent
+/// slab workers never write the same counter.
+class SlabRingClient : public RingTrafficClient {
+ public:
+  SlabRingClient(std::int32_t nodes, int per_node)
+      : RingTrafficClient(nodes, per_node), per_node_delivered_(static_cast<std::size_t>(nodes)) {}
+
+  void on_delivery(topo::Rank node, const Packet&) override {
+    ++per_node_delivered_[static_cast<std::size_t>(node)];
+  }
+
+  std::uint64_t delivered_total() const {
+    std::uint64_t total = 0;
+    for (const std::uint64_t n : per_node_delivered_) total += n;
+    return total;
+  }
+
+ private:
+  std::vector<std::uint64_t> per_node_delivered_;
+};
+
+TEST(FabricApi, SlicedMultiSlabRunObservesEveryGrantBeforeReturning) {
+  auto config = make_config("4x4x8");
+  config.sim_threads = 4;
+  const auto nodes = static_cast<std::int32_t>(config.shape.nodes());
+  SlabRingClient client(nodes, 40);
+  Fabric fabric(config, client);
+  ASSERT_EQ(fabric.effective_sim_threads(), 4);
+  std::uint64_t calls = 0;
+  fabric.set_hop_observer([&](const Packet&, topo::Rank, int, int) { ++calls; });
+
+  bool drained = false;
+  int slices = 0;
+  for (Tick deadline = 700; !drained && slices < 10000; deadline += 700, ++slices) {
+    drained = fabric.run(deadline);
+    // The last window's grants are replayed before run() returns.
+    ASSERT_EQ(calls, fabric.stats().arb_grants) << "slice " << slices;
+  }
+  ASSERT_TRUE(drained);
+  EXPECT_GT(slices, 1) << "the slices must actually cut the run";
+  EXPECT_EQ(client.delivered_total(), static_cast<std::uint64_t>(nodes) * 40u);
+}
+
+TEST(FabricApi, WatchdogAbortStillObservesEveryGrant) {
+  auto config = make_config("4x4x8");
+  config.sim_threads = 4;
+  const auto nodes = static_cast<std::int32_t>(config.shape.nodes());
+  SlabRingClient client(nodes, 200);
+  Fabric fabric(config, client);
+  ASSERT_EQ(fabric.effective_sim_threads(), 4);
+  std::uint64_t calls = 0;
+  fabric.set_hop_observer([&](const Packet&, topo::Rank, int, int) { ++calls; });
+  fabric.set_abort_check([] { return true; });  // abort at the first poll
+  EXPECT_FALSE(fabric.run());
+  ASSERT_TRUE(fabric.aborted());
+  EXPECT_GT(calls, 0u);
+  EXPECT_EQ(calls, fabric.stats().arb_grants);
+}
+
+TEST(FabricApi, ObserverExceptionStopsTheRunAfterExactlyThatCall) {
+  constexpr std::uint64_t kThrowAt = 1000;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    auto config = make_config("4x4x8");
+    config.sim_threads = threads;
+    const auto nodes = static_cast<std::int32_t>(config.shape.nodes());
+    SlabRingClient client(nodes, 40);
+    Fabric fabric(config, client);
+    ASSERT_EQ(fabric.effective_sim_threads(), threads);
+    std::uint64_t calls = 0;
+    fabric.set_hop_observer([&](const Packet&, topo::Rank, int, int) {
+      if (++calls == kThrowAt) throw std::runtime_error("observer gave up");
+    });
+    try {
+      fabric.run();
+      ADD_FAILURE() << "run() returned instead of rethrowing";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "observer gave up");
+    }
+    EXPECT_EQ(calls, kThrowAt) << "a grant was replayed after the exception";
+    EXPECT_LT(client.delivered_total(), static_cast<std::uint64_t>(nodes) * 40u)
+        << "the exception must stop the run";
+  }
+}
+
+TEST(FabricApi, MultiSlabObserverCallsNeverOverlap) {
+  auto config = make_config("4x4x8");
+  config.sim_threads = 4;
+  const auto nodes = static_cast<std::int32_t>(config.shape.nodes());
+  SlabRingClient client(nodes, 40);
+  Fabric fabric(config, client);
+  ASSERT_EQ(fabric.effective_sim_threads(), 4);
+  std::atomic<int> depth{0};
+  std::atomic<bool> overlapped{false};
+  std::uint64_t calls = 0;
+  fabric.set_hop_observer([&](const Packet&, topo::Rank, int, int) {
+    if (depth.fetch_add(1) != 0) overlapped = true;
+    std::this_thread::yield();  // widen the window for a concurrent call
+    ++calls;
+    depth.fetch_sub(1);
+  });
+  ASSERT_TRUE(fabric.run());
+  EXPECT_FALSE(overlapped.load()) << "two observer calls ran at once";
+  EXPECT_EQ(calls, fabric.stats().arb_grants);
 }
 
 }  // namespace

@@ -10,9 +10,9 @@
 //    set of RTO-expired retransmissions) are only promised to be
 //    bit-deterministic per (seed, sim_threads): the same run twice is
 //    identical, and the final delivery verdict matches single-thread.
-//  - Hop observers run parallel via per-slab buffers drained at window
-//    barriers in (tick, link id) order: same grant count as the one-slab
-//    run, deterministic replay order.
+//  - Hop observers run parallel via per-slab ordered logs, merged and
+//    replayed in (tick, link id) order while the next window runs: same
+//    grant count as the one-slab run, deterministic replay order.
 //
 // The chaos case at the bottom exists for the sanitizer CI: every MT fault
 // mechanism (transients, drops, corruption, a mid-run strike, the stuck
@@ -185,7 +185,7 @@ TEST(MtFaults, HopObserverSeesEveryGrantUnderMt) {
   //  - grant *count* matches the one-slab run exactly (minimal routing:
   //    every packet takes the same number of hops on any path, and the
   //    delivered packet set is thread-invariant);
-  //  - the barrier-drained replay is in a deterministic order — an
+  //  - the replay of the per-slab logs is in a deterministic order — an
   //    order-sensitive hash is bit-equal across reruns at the same width.
   // The per-link multiset is NOT compared against single-thread: adaptive
   // direction choices are timing-coupled and legitimately differ.
@@ -194,8 +194,9 @@ TEST(MtFaults, HopObserverSeesEveryGrantUnderMt) {
   options.net.seed = 7;
   options.msg_bytes = 300;
   // Observer invocations are serial at any slab count (inline in the one
-  // slab's handler loop, or replayed by the one thread running the window
-  // barrier), so plain variables and order-sensitive mixing are safe.
+  // slab's handler loop, or replayed by one slab worker at a time, the
+  // window barrier ordering successive replays), so plain variables and
+  // order-sensitive mixing are safe.
   std::uint64_t grants = 0;
   std::uint64_t order_hash = 0;
   options.hop_observer = [&](const net::Packet& packet, topo::Rank node,

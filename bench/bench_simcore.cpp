@@ -6,14 +6,18 @@
 //   clean     fault-free AR all-to-all (the historical bench point)
 //   faulted   dead links + probabilistic drops + corruption, with the
 //             reliability wrapper interposed
-//   observer  fault-free with a hop observer attached (per-slab buffered,
-//             barrier-drained under MT)
+//   observer  fault-free with a hop observer attached (inline on one slab;
+//             with several, per-slab ordered logs replayed during the next
+//             window)
 // Each variant runs at 1, 2, 4 and --sim-threads/hardware threads
 // (deduplicated), reporting packets/sec per thread count.
 //
 // This measures the *simulator*, not the simulated network: delivered
 // results are thread-invariant (the equivalence and mt_faults suites check
-// the delivery matrices); only wall time may differ.
+// the delivery matrices); only wall time may differ. Each observer run
+// counts its grants, and the bench exits 1 when a count is zero or differs
+// from the 1-thread row's: minimal routing fixes the hops per packet, so a
+// replay that drops or repeats a grant shows as a different count.
 //
 // --baseline OLD.json re-reads a previous artifact and exits nonzero if any
 // (variant, threads) point regressed by more than 10% packets/sec — the CI
@@ -43,6 +47,7 @@ struct Run {
   double wall_ms = 0.0;
   std::uint64_t packets = 0;
   std::uint64_t events = 0;
+  std::uint64_t grants = 0;  // observer calls (observer variant only)
   double packets_per_sec = 0.0;
 };
 
@@ -118,7 +123,6 @@ int main(int argc, char** argv) {
   }
 
   const char* kFaultSpec = "link:0.02,drop:1e-4,corrupt:5e-5,seed:9";
-  std::uint64_t observed_grants = 0;
 
   std::vector<Run> runs;
   for (const char* variant : {"clean", "faulted", "observer"}) {
@@ -128,10 +132,10 @@ int main(int argc, char** argv) {
       options.verify = verify;
       const bool faulted = std::string(variant) == "faulted";
       if (faulted) options.net.faults = net::parse_fault_spec(kFaultSpec);
+      std::uint64_t grants = 0;
       if (std::string(variant) == "observer") {
-        options.hop_observer = [&observed_grants](const net::Packet&,
-                                                  topo::Rank, int, int) {
-          ++observed_grants;
+        options.hop_observer = [&grants](const net::Packet&, topo::Rank, int, int) {
+          ++grants;
         };
       }
       const auto start = std::chrono::steady_clock::now();
@@ -148,6 +152,7 @@ int main(int argc, char** argv) {
       run.wall_ms = wall.count();
       run.packets = r.packets_delivered;
       run.events = r.events;
+      run.grants = grants;
       run.packets_per_sec =
           wall.count() > 0.0
               ? 1000.0 * static_cast<double>(r.packets_delivered) / wall.count()
@@ -157,14 +162,15 @@ int main(int argc, char** argv) {
   }
 
   util::Table table({"variant", "threads (used)", "drained", "complete",
-                     "wall ms", "packets", "packets/sec", "events"});
+                     "wall ms", "packets", "packets/sec", "events", "grants"});
   for (const Run& r : runs) {
     table.add_row({r.variant,
                    std::to_string(r.requested) + " (" + std::to_string(r.used) + ")",
                    r.drained ? "yes" : "NO",
                    verify ? (r.complete ? "yes" : "NO") : "-",
                    util::fmt(r.wall_ms, 1), std::to_string(r.packets),
-                   util::fmt(r.packets_per_sec, 0), std::to_string(r.events)});
+                   util::fmt(r.packets_per_sec, 0), std::to_string(r.events),
+                   r.variant == "observer" ? std::to_string(r.grants) : "-"});
   }
   table.print();
 
@@ -202,11 +208,13 @@ int main(int argc, char** argv) {
                  "    {\"variant\": \"%s\", \"sim_threads\": %d, "
                  "\"sim_threads_used\": %d, \"drained\": %s, \"complete\": %s, "
                  "\"wall_ms\": %.3f, \"packets\": %llu, "
-                 "\"packets_per_sec\": %.1f, \"events\": %llu}%s\n",
+                 "\"packets_per_sec\": %.1f, \"events\": %llu, "
+                 "\"grants\": %llu}%s\n",
                  r.variant.c_str(), r.requested, r.used,
                  r.drained ? "true" : "false", r.complete ? "true" : "false",
                  r.wall_ms, static_cast<unsigned long long>(r.packets),
                  r.packets_per_sec, static_cast<unsigned long long>(r.events),
+                 static_cast<unsigned long long>(r.grants),
                  i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n  \"verified\": %s,\n  \"faulted_speedup\": %.3f\n}\n",
@@ -220,6 +228,21 @@ int main(int argc, char** argv) {
                    r.requested,
                    r.drained ? "left the delivery matrix incomplete"
                              : "did not drain");
+      return 1;
+    }
+  }
+  // thread_counts starts with 1, so the first observer row is the 1-thread
+  // run, whose observer is called inline at every grant.
+  const Run* observer_1t = nullptr;
+  for (const Run& r : runs) {
+    if (r.variant != "observer") continue;
+    if (observer_1t == nullptr) observer_1t = &r;
+    if (r.grants == 0 || r.grants != observer_1t->grants) {
+      std::fprintf(stderr,
+                   "FAIL: observer run at %d threads saw %llu grants, the "
+                   "1-thread run %llu\n",
+                   r.requested, static_cast<unsigned long long>(r.grants),
+                   static_cast<unsigned long long>(observer_1t->grants));
       return 1;
     }
   }

@@ -20,7 +20,12 @@
 int main(int argc, char** argv) {
   using namespace bgl;
   util::Cli cli(argc, argv);
-  auto ctx = bench::BenchContext::from_cli(cli);
+  // The windows run through harness::run_ordered on a healthy one-slab
+  // fabric and print as a table: no sweep sinks, repeats, shards, faults,
+  // slab threads or watchdog apply.
+  auto ctx = bench::BenchContext::from_cli(
+      cli, {"csv", "json", "repeats", "shard", "resume", "host-timing", "faults",
+            "sim-threads", "timeout"});
   cli.describe("shape", "partition (default 8x8x16)");
   cli.describe("bytes", "payload per destination (default 960)");
   cli.validate();

@@ -21,7 +21,10 @@
 int main(int argc, char** argv) {
   using namespace bgl;
   util::Cli cli(argc, argv);
-  auto ctx = bench::BenchContext::from_cli(cli);
+  // Pattern runs go through harness::run_ordered, not a Sweep, so the sweep
+  // sinks, repeats, shards and resume do not apply.
+  auto ctx = bench::BenchContext::from_cli(
+      cli, {"csv", "json", "repeats", "shard", "resume", "host-timing"});
   cli.describe("shape", "partition (default 8x8x16)");
   cli.describe("bytes", "message bytes per destination (default 960)");
   cli.validate();

@@ -15,7 +15,12 @@
 int main(int argc, char** argv) {
   using namespace bgl;
   util::Cli cli(argc, argv);
-  auto ctx = bench::BenchContext::from_cli(cli);
+  // The fit reads one ping per size on a healthy one-slab fabric, printed as
+  // a table: no sweep sinks, repeats, shards, faults, slab threads or
+  // watchdog apply.
+  auto ctx = bench::BenchContext::from_cli(
+      cli, {"csv", "json", "repeats", "shard", "resume", "host-timing", "faults",
+            "sim-threads", "timeout"});
   cli.validate();
 
   bench::print_header("Section 2.1 — model-parameter calibration by ping-pong",

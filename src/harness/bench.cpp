@@ -15,33 +15,46 @@
 
 namespace bgl::harness {
 
-BenchContext BenchContext::from_cli(util::Cli& cli) {
-  cli.describe("full", "run paper-exact partition sizes (slow)");
-  cli.describe("budget", "max nodes before scaling a row down");
-  cli.describe("seed", "base seed; run i of the sweep uses splitmix64(seed, i)");
-  cli.describe("jobs", "worker threads for simulation jobs (default: all cores)");
-  cli.describe("shard", "run slice i of N of the sweep (format i/N); shard "
-                        "CSV/JSON outputs merge bit-identically");
-  cli.describe("repeats", "run every point R times; sinks carry "
-                          "min/mean/max/stddev per point");
-  cli.describe("progress", "rows done / total + ETA on stderr "
-                           "(default: on when stderr is a terminal)");
-  cli.describe("csv", "also write machine-readable rows to this CSV file");
-  cli.describe("json", "also write machine-readable rows to this JSON file");
-  cli.describe("host-timing", "append nondeterministic wall_ms/events_per_sec "
-                              "columns to per-run sink rows");
-  cli.describe("timeout", "per-job wall-clock watchdog in seconds; a job "
-                          "exceeding it is marked failed and excluded from "
-                          "aggregates (default: none)");
-  cli.describe("faults", "fault-injection spec, e.g. link:0.02,drop:1e-5,seed:7 "
-                         "(keys: link tlink repair fail_at degrade degrade_mult "
-                         "node drop seed rto retries stuck)");
-  cli.describe("sim-threads", "slab-parallel worker threads inside each "
-                              "simulation (default 1 = one slab; "
-                              "see --jobs for across-point parallelism)");
-  cli.describe("resume", "partial CSV/JSON output of an interrupted run; "
-                         "already-completed points are skipped and the sinks "
-                         "write the merged result");
+BenchContext BenchContext::from_cli(util::Cli& cli,
+                                    std::initializer_list<std::string_view> unsupported) {
+  for (const std::string_view name : unsupported) {
+    if (cli.has(std::string(name))) {
+      std::fprintf(stderr, "%s: option --%.*s is not supported by this bench\n",
+                   cli.program().c_str(), static_cast<int>(name.size()), name.data());
+      std::exit(2);
+    }
+  }
+  const auto describe = [&](const char* name, const char* help) {
+    if (std::find(unsupported.begin(), unsupported.end(), name) == unsupported.end()) {
+      cli.describe(name, help);
+    }
+  };
+  describe("full", "run paper-exact partition sizes (slow)");
+  describe("budget", "max nodes before scaling a row down");
+  describe("seed", "base seed; run i of the sweep uses splitmix64(seed, i)");
+  describe("jobs", "worker threads for simulation jobs (default: all cores)");
+  describe("shard", "run slice i of N of the sweep (format i/N); shard "
+                    "CSV/JSON outputs merge bit-identically");
+  describe("repeats", "run every point R times; sinks carry "
+                      "min/mean/max/stddev per point");
+  describe("progress", "rows done / total + ETA on stderr "
+                       "(default: on when stderr is a terminal)");
+  describe("csv", "also write machine-readable rows to this CSV file");
+  describe("json", "also write machine-readable rows to this JSON file");
+  describe("host-timing", "append nondeterministic wall_ms/events_per_sec "
+                          "columns to per-run sink rows");
+  describe("timeout", "per-job wall-clock watchdog in seconds; a job "
+                      "exceeding it is marked failed and excluded from "
+                      "aggregates (default: none)");
+  describe("faults", "fault-injection spec, e.g. link:0.02,drop:1e-5,seed:7 "
+                     "(keys: link tlink repair fail_at degrade degrade_mult "
+                     "node drop seed rto retries stuck)");
+  describe("sim-threads", "slab-parallel worker threads inside each "
+                          "simulation (default 1 = one slab; "
+                          "see --jobs for across-point parallelism)");
+  describe("resume", "partial CSV/JSON output of an interrupted run; "
+                     "already-completed points are skipped and the sinks "
+                     "write the merged result");
   BenchContext ctx;
   try {
     ctx.full = cli.get_bool("full", false);

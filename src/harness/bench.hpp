@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/coll/alltoall.hpp"
@@ -50,11 +52,16 @@ struct BenchContext {
 
   /// Declares and reads the shared bench options (--full, --budget, --seed,
   /// --jobs, --shard, --repeats, --progress, --csv, --json, --host-timing,
-  /// --timeout, --faults, --sim-threads). Call before cli.validate(). Prints
-  /// a clear error to stderr and exits with status 2 on invalid values
-  /// (--jobs 0, --repeats 0, malformed --shard or --faults, non-numeric
-  /// values).
-  static BenchContext from_cli(util::Cli& cli);
+  /// --timeout, --faults, --sim-threads, --resume). Call before
+  /// cli.validate(). Prints a clear error to stderr and exits with status 2
+  /// on invalid values (--jobs 0, --repeats 0, malformed --shard or
+  /// --faults, non-numeric values).
+  ///
+  /// `unsupported` names the shared options (without dashes) a bench does
+  /// not honor: they stay out of --help, and giving one prints
+  /// "<program>: option --X is not supported by this bench" and exits 2.
+  static BenchContext from_cli(util::Cli& cli,
+                               std::initializer_list<std::string_view> unsupported = {});
 
   std::uint64_t seed() const { return sweep.base_seed; }
 

@@ -493,6 +493,29 @@ TEST(BenchContextDeathTest, MalformedFaultSpecIsAnError) {
   expect_cli_rejected({"--faults", "warp:0.5"}, "error: .*--faults");
 }
 
+TEST(BenchContextDeathTest, UnsupportedSharedOptionIsAnError) {
+  // A bench that cannot honor a shared option names it; giving it exits 2
+  // instead of being silently ignored.
+  const auto parse = [](const char* flag) {
+    const char* argv[] = {"bench", flag, "x.csv"};
+    util::Cli cli(3, argv);
+    BenchContext::from_cli(cli, {"csv", "json", "resume"});
+  };
+  for (const char* flag : {"--csv", "--resume"}) {
+    EXPECT_EXIT(parse(flag), ::testing::ExitedWithCode(2),
+                std::string("bench: option ") + flag + " is not supported by this bench");
+  }
+}
+
+TEST(BenchContext, UnsupportedOptionsLeaveTheOthersWorking) {
+  const char* argv[] = {"bench", "--jobs", "2", "--seed", "5"};
+  util::Cli cli(5, argv);
+  const auto ctx = BenchContext::from_cli(cli, {"csv", "json"});
+  EXPECT_EQ(ctx.sweep.jobs, 2);
+  EXPECT_EQ(ctx.seed(), 5u);
+  EXPECT_TRUE(ctx.csv_path.empty());
+}
+
 TEST(BenchContext, FaultSpecReachesBaseOptions) {
   const char* argv[] = {"bench", "--faults", "link:0.02,drop:1e-4"};
   util::Cli cli(3, argv);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 
 #include "src/sim/event_queue.hpp"
@@ -218,8 +219,156 @@ TEST_P(WheelEquivalence, MatchesHeapExactly) {
   }
 }
 
+/// Property: a slab's use of the wheel — pop up to a window deadline, then
+/// push the events handed over at the barrier at or after deadline + 1 —
+/// gives the heap's sequence. After every stop the deadline itself is still
+/// open for pushes, and after every pop the tick before it is past due.
+TEST_P(WheelEquivalence, MatchesHeapUnderWindowDeadlines) {
+  util::Xoshiro256StarStar rng(GetParam());
+  TimingWheel wheel(256);
+  EventQueue heap;
+  std::uint32_t next_type = 0;
+  const auto push_both = [&](Tick t) {
+    wheel.push(t, next_type, next_type, t);
+    heap.push(t, next_type, next_type, t);
+    ++next_type;
+  };
+  for (int i = 0; i < 20; ++i) push_both(rng.below(2000));
+
+  Tick deadline = 0;
+  std::optional<Tick> last_popped;
+  int popped = 0;
+  for (int window = 0; window < 3000; ++window) {
+    // Mostly short windows; sometimes an idle gap longer than the horizon.
+    deadline += rng.below(16) == 0 ? 256 + rng.below(3000) : rng.below(120);
+    while (const auto from_wheel = wheel.pop_if_at_most(deadline)) {
+      ASSERT_FALSE(heap.empty()) << "window " << window;
+      const Event from_heap = heap.pop();
+      ASSERT_EQ(from_wheel->time, from_heap.time) << "pop " << popped;
+      ASSERT_EQ(from_wheel->type, from_heap.type) << "pop " << popped;
+      ASSERT_EQ(from_wheel->a, from_heap.a);
+      ASSERT_EQ(from_wheel->b, from_heap.b);
+      ASSERT_LE(from_wheel->time, deadline);
+      ++popped;
+      const Tick now = from_wheel->time;
+      last_popped = now;
+      // 0.75 new events per event on average, so the run stays bounded.
+      const int fanout = static_cast<int>(rng.below(2) + (rng.below(4) == 0 ? 1 : 0));
+      for (int k = 0; k < fanout; ++k) {
+        push_both(now + (rng.below(10) == 0 ? 300 + rng.below(5000) : rng.below(200)));
+      }
+    }
+    ASSERT_TRUE(heap.empty() || heap.next_time() > deadline) << "window " << window;
+    ASSERT_EQ(wheel.size(), heap.size());
+    ASSERT_EQ(wheel.next_time(), heap.empty() ? std::nullopt
+                                              : std::optional<Tick>(heap.next_time()));
+    if (last_popped.has_value() && *last_popped > 0) {
+      EXPECT_THROW(wheel.push(*last_popped - 1, 0, 0, 0), std::logic_error)
+          << "window " << window;
+    }
+    // The deadline is not past due after a stop at it.
+    EXPECT_NO_THROW(push_both(deadline)) << "window " << window;
+    // Barrier handoff: events at or after the next window's first tick.
+    const int handed = static_cast<int>(rng.below(8));
+    for (int k = 0; k < handed; ++k) {
+      push_both(deadline + 1 + (rng.below(4) == 0 ? rng.below(2000) : rng.below(50)));
+    }
+  }
+  EXPECT_GT(popped, 10000);
+  while (const auto from_wheel = wheel.pop_if_at_most(~Tick{0})) {
+    ASSERT_FALSE(heap.empty());
+    const Event from_heap = heap.pop();
+    ASSERT_EQ(from_wheel->time, from_heap.time);
+    ASSERT_EQ(from_wheel->type, from_heap.type);
+  }
+  EXPECT_TRUE(heap.empty());
+  EXPECT_TRUE(wheel.empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, WheelEquivalence,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+/// Bucket indices at the edges of the wheel's internal word boundaries and
+/// of its ring, for every wheel size large enough to have them.
+class WheelBoundaries : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(WheelBoundaries, BucketsAtWordAndRingEdges) {
+  const std::size_t size = GetParam();
+  TimingWheel wheel(size);
+  // Buckets 63 and 64 straddle the first word boundary.
+  wheel.push(64, 1, 0, 0);
+  wheel.push(63, 0, 0, 0);
+  EXPECT_EQ(wheel.next_time(), Tick{63});
+  EXPECT_FALSE(wheel.pop_if_at_most(62).has_value());
+  EXPECT_EQ(wheel.next_time(), Tick{63});
+  EXPECT_EQ(wheel.pop_if_at_most(63)->type, 0u);
+  EXPECT_EQ(wheel.next_time(), Tick{64});
+  EXPECT_EQ(wheel.pop_if_at_most(64)->type, 1u);
+  EXPECT_FALSE(wheel.next_time().has_value());
+
+  // Park the cursor in the last word, then fill buckets size - 1 and 0 (and
+  // 63, 64 again) one ring later: the scan must wrap to find them.
+  const Tick base = size - 8;
+  wheel.push(base, 2, 0, 0);
+  EXPECT_EQ(wheel.pop_if_at_most(~Tick{0})->time, base);
+  const Tick order[] = {size - 1, size, size + 63, size + 64};
+  wheel.push(size + 64, 6, 0, 0);
+  wheel.push(size + 63, 5, 0, 0);
+  wheel.push(size, 4, 0, 0);
+  wheel.push(size - 1, 3, 0, 0);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(wheel.next_time(), order[i]) << "size " << size;
+    const auto e = wheel.pop_if_at_most(~Tick{0});
+    ASSERT_TRUE(e.has_value());
+    EXPECT_EQ(e->time, order[i]);
+    EXPECT_EQ(e->type, 3 + i);
+  }
+  EXPECT_TRUE(wheel.empty());
+}
+
+TEST_P(WheelBoundaries, LastBucketBeforeTheCursorIsFoundLast) {
+  // The latest in-horizon tick, cursor + size - 1, sits one bucket below
+  // the cursor's own: a ring scan that starts at the cursor reaches it last.
+  const std::size_t size = GetParam();
+  for (const Tick cursor : {Tick{70}, Tick{3 * size + 1}, Tick{5 * size - 1}}) {
+    TimingWheel wheel(size);
+    wheel.push(cursor, 0, 0, 0);
+    EXPECT_EQ(wheel.pop_if_at_most(~Tick{0})->time, cursor);
+    wheel.push(cursor + size - 1, 1, 0, 0);
+    wheel.push(cursor + size, 2, 0, 0);  // first tick beyond the horizon
+    EXPECT_EQ(wheel.next_time(), cursor + size - 1);
+    EXPECT_FALSE(wheel.pop_if_at_most(cursor + size - 2).has_value());
+    EXPECT_EQ(wheel.pop_if_at_most(~Tick{0})->type, 1u);
+    EXPECT_EQ(wheel.next_time(), cursor + size);
+    EXPECT_EQ(wheel.pop_if_at_most(~Tick{0})->type, 2u);
+    EXPECT_TRUE(wheel.empty());
+  }
+}
+
+TEST_P(WheelBoundaries, NextTimeAfterIdleGapLongerThanHorizon) {
+  const std::size_t size = GetParam();
+  TimingWheel wheel(size);
+  wheel.push(10, 0, 0, 0);
+  EXPECT_EQ(wheel.pop_if_at_most(~Tick{0})->time, 10u);
+  const Tick far = 10 + 5 * size + 3;
+  wheel.push(far, 1, 0, 0);
+  EXPECT_EQ(wheel.next_time(), far);
+  // A stop in the gap leaves the far event waiting, and its deadline open.
+  const Tick stop = 10 + 2 * size;
+  EXPECT_FALSE(wheel.pop_if_at_most(stop).has_value());
+  EXPECT_EQ(wheel.next_time(), far);
+  wheel.push(stop, 2, 0, 0);
+  wheel.push(stop + size + 1, 3, 0, 0);
+  EXPECT_EQ(wheel.next_time(), stop);
+  EXPECT_EQ(wheel.pop_if_at_most(~Tick{0})->type, 2u);
+  EXPECT_EQ(wheel.next_time(), stop + size + 1);
+  EXPECT_EQ(wheel.pop_if_at_most(~Tick{0})->type, 3u);
+  EXPECT_EQ(wheel.next_time(), far);
+  EXPECT_EQ(wheel.pop_if_at_most(~Tick{0})->type, 1u);
+  EXPECT_FALSE(wheel.next_time().has_value());
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, WheelBoundaries, ::testing::Values(128, 256, 8192));
 
 }  // namespace
 }  // namespace bgl::sim

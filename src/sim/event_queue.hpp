@@ -10,8 +10,7 @@
 //                for far-future events (client timers, throttle pacing).
 //
 // The simulator fires ~1-2 events per simulated cycle under load, which is
-// exactly the density a per-cycle wheel wants; the wheel is ~3x faster than
-// the heap end-to-end and is what every fabric slab runs on.
+// exactly the density a per-cycle wheel wants; every fabric slab runs on one.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +24,8 @@ using Tick = std::uint64_t;
 
 struct Event {
   Tick time = 0;
+  /// Tie-breaker among same-time events in EventQueue. TimingWheel keeps
+  /// its order without storing it and returns 0 here from pop_if_at_most.
   std::uint64_t seq = 0;
   std::uint32_t type = 0;
   std::uint32_t a = 0;
@@ -69,6 +70,12 @@ class EventQueue {
 /// Invariant: bucket[t & mask] holds only events with time == t for
 /// t in [cursor, cursor + size); events at or beyond the horizon wait in the
 /// overflow heap and migrate into the wheel as the cursor approaches them.
+///
+/// Storage grows with the events pending, not with the busiest tick a bucket
+/// has held: bucketed events live in one node pool with a LIFO free list,
+/// each bucket is a FIFO list of pool indices (so same-tick events pop in
+/// push order), and one occupancy bit per bucket lets pops and next_time()
+/// skip empty ticks a 64-bit word at a time.
 class TimingWheel {
  public:
   explicit TimingWheel(std::size_t size_pow2 = 8192);
@@ -86,20 +93,43 @@ class TimingWheel {
   /// time.
   std::optional<Event> pop_if_at_most(Tick deadline);
 
-  /// Exact time of the earliest queued event without popping it (scans the
-  /// ring from the cursor; O(size) worst case — meant for a multi-slab run's
-  /// once-per-window lower-bound computation, not per-event use).
+  /// Exact time of the earliest queued event without popping it (a bitmap
+  /// scan from the cursor, then the overflow heap; meant for a multi-slab
+  /// run's once-per-window lower-bound computation, not per-event use).
   std::optional<Tick> next_time() const noexcept;
 
   std::uint64_t total_pushed() const noexcept { return next_seq_; }
 
- private:
-  void advance_to_nonempty();
+  /// Nodes in the pool: the most events the buckets have held at once.
+  std::size_t capacity() const noexcept { return pool_.size(); }
 
-  std::vector<std::vector<Event>> buckets_;
+ private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  struct Node {
+    std::uint64_t b;
+    std::uint32_t a;
+    std::uint32_t type;
+    std::uint32_t next;  // pool index of the next node in its list, or kNil
+  };
+  struct Bucket {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+
+  /// Appends an event at `time` (within the horizon) to its bucket's tail.
+  void append(Tick time, std::uint32_t type, std::uint32_t a, std::uint64_t b);
+  /// First tick at or after `from` whose bucket holds an event; count_ > 0.
+  Tick next_occupied(Tick from) const noexcept;
+  /// Moves overflow events that now fall within the horizon into buckets.
+  void migrate_overflow();
+
+  std::vector<Node> pool_;
+  std::uint32_t free_ = kNil;  // head of the free list
+  std::vector<Bucket> buckets_;
+  std::vector<std::uint64_t> occupied_;  // bit t & mask: bucket t is non-empty
   std::size_t mask_;
   Tick cursor_ = 0;        // earliest time the wheel can hold
-  std::size_t bucket_pos_ = 0;  // next unread index within the current bucket
   std::size_t count_ = 0;  // events stored in buckets
   EventQueue overflow_;
   std::uint64_t next_seq_ = 0;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 
@@ -175,6 +176,32 @@ TEST(TimingWheel, ShortDeadlineKeepsLaterPushesOnTime) {
     EXPECT_EQ(e->type, 1u);
     EXPECT_EQ(wheel.pop_if_at_most(~Tick{0})->time, far);
   }
+}
+
+TEST(TimingWheel, PoolNeverExceedsPeakPending) {
+  // Node storage follows the events pending, not the busiest tick each
+  // bucket has held: phases of filling (two pushes per pop) and draining
+  // (two pops per push), with bursts on a few ticks and far timers.
+  util::Xoshiro256StarStar rng(7);
+  TimingWheel wheel;
+  std::size_t peak = 0;
+  Tick now = 0;
+  const auto pop = [&] {
+    if (const auto e = wheel.pop_if_at_most(~Tick{0})) now = e->time;
+  };
+  for (int cycle = 0; cycle < 1000000; ++cycle) {
+    const bool filling = ((cycle >> 12) & 1) == 0;
+    for (int k = 0; k < (filling ? 2 : 1); ++k) {
+      const Tick delay = rng.below(8) == 0 ? rng.below(30000) : 16 * rng.below(16);
+      wheel.push(now + delay, 0, static_cast<std::uint32_t>(cycle), 0);
+      peak = std::max(peak, wheel.size());
+    }
+    pop();
+    if (!filling) pop();
+    ASSERT_LE(wheel.capacity(), peak) << "cycle " << cycle;
+  }
+  EXPECT_GT(peak, 4000u);
+  EXPECT_GT(wheel.capacity(), 0u);
 }
 
 /// Property: the wheel and the reference heap produce the identical event

@@ -7,6 +7,7 @@
 //
 //   ./many_to_many --shape 8x8x16 --bytes 960 --fanouts 2,8,32
 #include <cstdio>
+#include <string>
 
 #include "src/coll/many_to_many.hpp"
 #include "src/util/shape_arg.hpp"
@@ -24,15 +25,13 @@ int main(int argc, char** argv) {
 
   const auto shape = util::shape_arg_or_exit(cli.get("shape", "8x8x16"), cli.program());
   const auto bytes = static_cast<std::uint64_t>(cli.get_int("bytes", 960));
-  const auto fanouts = util::parse_int_list(cli.get("fanouts", "2,8,32,128"));
+  const auto fanouts = cli.get_int_list("fanouts", "2,8,32,128");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const auto nodes = static_cast<std::int32_t>(shape.nodes());
   for (const auto fanout : fanouts) {
     if (fanout < 0 || fanout >= nodes) {
-      std::fprintf(stderr, "%s: error: fanout %lld outside [0, %d] on %s\n",
-                   cli.program().c_str(), static_cast<long long>(fanout), nodes - 1,
-                   shape.to_string().c_str());
-      return 2;
+      cli.fail("fanout " + std::to_string(fanout) + " outside [0, " +
+               std::to_string(nodes - 1) + "] on " + shape.to_string());
     }
   }
 

@@ -5,7 +5,6 @@
 //
 // Strategies: mpi, ar, dr, throttle, tps, vmesh, best.
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 
 #include "src/coll/alltoall.hpp"
@@ -17,7 +16,8 @@
 
 namespace {
 
-bgl::coll::StrategyKind parse_strategy(const std::string& name) {
+bgl::coll::StrategyKind parse_strategy(const bgl::util::Cli& cli) {
+  const std::string name = cli.get("strategy", "best");
   using bgl::coll::StrategyKind;
   if (name == "mpi") return StrategyKind::kMpi;
   if (name == "ar") return StrategyKind::kAdaptiveRandom;
@@ -26,7 +26,7 @@ bgl::coll::StrategyKind parse_strategy(const std::string& name) {
   if (name == "tps") return StrategyKind::kTwoPhase;
   if (name == "vmesh") return StrategyKind::kVirtualMesh;
   if (name == "best") return StrategyKind::kBest;
-  throw std::runtime_error("unknown strategy: " + name);
+  cli.fail("unknown strategy: " + name);
 }
 
 }  // namespace
@@ -63,9 +63,8 @@ int main(int argc, char** argv) {
   options.net.cpu_links = cli.get_double("cpulinks", options.net.cpu_links);
   options.net.sim_threads = static_cast<int>(cli.get_int("sim-threads", 1));
   if (options.net.sim_threads < 1) {
-    std::fprintf(stderr, "%s: error: option --sim-threads: must be >= 1, got %d\n",
-                 cli.program().c_str(), options.net.sim_threads);
-    return 2;
+    cli.fail("option --sim-threads: must be >= 1, got " +
+             std::to_string(options.net.sim_threads));
   }
   options.msg_bytes = static_cast<std::uint64_t>(cli.get_int("bytes", 4096));
   const std::string fault_spec = cli.get("faults", "");
@@ -74,7 +73,7 @@ int main(int argc, char** argv) {
     options.verify = true;
   }
   if (cli.get_bool("verify", false)) options.verify = true;
-  const auto kind = parse_strategy(cli.get("strategy", "best"));
+  const auto kind = parse_strategy(cli);
 
   if (kind == bgl::coll::StrategyKind::kBest) {
     const bgl::net::FaultPlan plan(options.net, options.net.shape);

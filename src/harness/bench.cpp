@@ -117,8 +117,7 @@ BenchContext BenchContext::from_cli(util::Cli& cli,
       }
     }
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s: error: %s\n", cli.program().c_str(), error.what());
-    std::exit(2);
+    cli.fail(error.what());
   }
   return ctx;
 }

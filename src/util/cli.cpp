@@ -31,6 +31,21 @@ double parse_strict_double(const std::string& text, const std::string& what) {
   return value;
 }
 
+namespace {
+
+// Runs a throwing parse of a command-line value: a malformed value is the
+// user's error, reported through Cli::fail.
+template <class Parse>
+auto parse_or_fail(const Cli& cli, const Parse& parse) {
+  try {
+    return parse();
+  } catch (const std::runtime_error& error) {
+    cli.fail(error.what());
+  }
+}
+
+}  // namespace
+
 Cli::Cli(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
@@ -65,13 +80,14 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end() || it->second.empty()) return fallback;
-  return parse_strict_int(it->second, "option --" + name);
+  return parse_or_fail(*this, [&] { return parse_strict_int(it->second, "option --" + name); });
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end() || it->second.empty()) return fallback;
-  return parse_strict_double(it->second, "option --" + name);
+  return parse_or_fail(*this,
+                       [&] { return parse_strict_double(it->second, "option --" + name); });
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
@@ -82,6 +98,12 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
     return true;
   }
   return false;
+}
+
+std::vector<std::int64_t> Cli::get_int_list(const std::string& name,
+                                            const std::string& fallback) const {
+  const std::string text = get(name, fallback);
+  return parse_or_fail(*this, [&] { return parse_int_list(text, "option --" + name); });
 }
 
 void Cli::describe(const std::string& name, const std::string& help) {
@@ -107,17 +129,22 @@ void Cli::validate() const {
         break;
       }
     }
-    if (!known) throw std::runtime_error("unknown option: --" + key);
+    if (!known) fail("unknown option: --" + key);
   }
 }
 
-std::vector<std::int64_t> parse_int_list(const std::string& text) {
+void Cli::fail(const std::string& message) const {
+  std::fprintf(stderr, "%s: error: %s\n", program_.c_str(), message.c_str());
+  std::exit(2);
+}
+
+std::vector<std::int64_t> parse_int_list(const std::string& text, const std::string& what) {
   std::vector<std::int64_t> out;
   std::size_t pos = 0;
   while (pos < text.size()) {
     const auto comma = text.find(',', pos);
     const auto piece = text.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!piece.empty()) out.push_back(parse_strict_int(piece, "list entry"));
+    if (!piece.empty()) out.push_back(parse_strict_int(piece, what));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }

@@ -1,8 +1,8 @@
 // Minimal command-line option parsing shared by benches and examples.
 //
 // Supports `--flag`, `--key value` and `--key=value` forms. Unknown options
-// raise an error so a typo'd sweep parameter cannot silently run the default
-// experiment.
+// and malformed values are usage errors (`<program>: error: ...`, exit 2), so
+// a typo'd sweep parameter cannot silently run the default experiment.
 #pragma once
 
 #include <cstdint>
@@ -21,12 +21,16 @@ class Cli {
   bool has(const std::string& name) const;
 
   std::string get(const std::string& name, const std::string& fallback) const;
-  /// Strict: the whole value must parse as one integer/number, otherwise a
-  /// std::runtime_error naming the option is thrown ("--seed 12x" is an
-  /// error, not seed 12).
+  /// Strict: the whole value must parse as one integer/number, otherwise it
+  /// is a usage error naming the option (fail(); "--seed 12x" exits 2, it
+  /// does not run seed 12).
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
+  /// Comma-separated integers ("8,64,512"), parsed from `fallback` when the
+  /// option is absent; a malformed entry is a usage error.
+  std::vector<std::int64_t> get_int_list(const std::string& name,
+                                         const std::string& fallback) const;
 
   /// Positional (non-option) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
@@ -37,9 +41,13 @@ class Cli {
   /// Call before `validate()`.
   void describe(const std::string& name, const std::string& help);
 
-  /// Exits with usage text when `--help` given; throws std::runtime_error on
-  /// unknown options if any were described.
+  /// Exits with usage text when `--help` given; an unknown option is a usage
+  /// error if any were described.
   void validate() const;
+
+  /// Reports a malformed command line: prints "<program>: error: <message>"
+  /// on stderr and exits with status 2.
+  [[noreturn]] void fail(const std::string& message) const;
 
  private:
   std::string program_;
@@ -49,8 +57,9 @@ class Cli {
 };
 
 /// Parses a comma-separated list of integers ("8,64,512"). Throws
-/// std::runtime_error on non-integer entries.
-std::vector<std::int64_t> parse_int_list(const std::string& text);
+/// std::runtime_error naming `what` on non-integer entries.
+std::vector<std::int64_t> parse_int_list(const std::string& text,
+                                         const std::string& what = "list entry");
 
 /// Strict full-string numeric parsing (the machinery behind get_int /
 /// get_double, shared by structured option parsers like --shard and

@@ -53,7 +53,8 @@ TEST(Cli, PositionalArguments) {
 TEST(Cli, ValidateRejectsUnknownOptions) {
   Cli cli = make({"--typo", "1"});
   cli.describe("real", "a real option");
-  EXPECT_THROW(cli.validate(), std::runtime_error);
+  EXPECT_EXIT(cli.validate(), ::testing::ExitedWithCode(2),
+              "prog: error: unknown option: --typo");
 }
 
 TEST(Cli, ValidateAcceptsDescribedOptions) {
@@ -70,36 +71,44 @@ TEST(ParseIntList, Basics) {
 }
 
 // Values must parse in full: "12x" silently running as 12 once turned a
-// typo'd --seed into a valid but wrong experiment.
+// typo'd --seed into a valid but wrong experiment. A malformed value is a
+// usage error: a message on stderr and exit 2, never an abort.
 TEST(Cli, IntValuesRejectTrailingJunk) {
-  for (const char* bad : {"12x", "x12", "1.5", "0x10", "12 "}) {
-    const Cli cli = make({std::string("--seed=").append(bad).c_str()});
-    EXPECT_THROW(cli.get_int("seed", 0), std::runtime_error) << "'" << bad << "'";
+  for (const std::string bad : {"12x", "x12", "1.5", "0x10", "12 "}) {
+    const std::string arg = "--seed=" + bad;
+    const Cli cli = make({arg.c_str()});
+    EXPECT_EXIT((void)cli.get_int("seed", 0), ::testing::ExitedWithCode(2), "error:")
+        << "'" << bad << "'";
   }
   // The error names the offending option so the user can find it.
   const Cli cli = make({"--seed=12x"});
-  try {
-    cli.get_int("seed", 0);
-    FAIL() << "expected get_int to reject 12x";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("--seed"), std::string::npos);
-    EXPECT_NE(std::string(error.what()).find("12x"), std::string::npos);
-  }
+  EXPECT_EXIT((void)cli.get_int("seed", 0), ::testing::ExitedWithCode(2),
+              "prog: error: option --seed: expected an integer, got '12x'");
 }
 
 TEST(Cli, IntValuesAcceptNegativesAndRejectOverflow) {
   EXPECT_EQ(make({"--n=-42"}).get_int("n", 0), -42);
-  EXPECT_THROW(make({"--n=99999999999999999999999"}).get_int("n", 0),
-               std::runtime_error);
+  EXPECT_EXIT((void)make({"--n=99999999999999999999999"}).get_int("n", 0),
+              ::testing::ExitedWithCode(2), "error:");
 }
 
 TEST(Cli, DoubleValuesRejectTrailingJunk) {
-  for (const char* bad : {"2.5x", "x2.5", "1e"}) {
-    const Cli cli = make({std::string("--factor=").append(bad).c_str()});
-    EXPECT_THROW(cli.get_double("factor", 0.0), std::runtime_error)
+  for (const std::string bad : {"2.5x", "x2.5", "1e"}) {
+    const std::string arg = "--factor=" + bad;
+    const Cli cli = make({arg.c_str()});
+    EXPECT_EXIT((void)cli.get_double("factor", 0.0), ::testing::ExitedWithCode(2), "error:")
         << "'" << bad << "'";
   }
   EXPECT_DOUBLE_EQ(make({"--factor=2.5e1"}).get_double("factor", 0.0), 25.0);
+}
+
+TEST(Cli, IntListValues) {
+  const Cli cli = make({"--sizes", "8,64"});
+  EXPECT_EQ(cli.get_int_list("sizes", "1"), (std::vector<std::int64_t>{8, 64}));
+  EXPECT_EQ(cli.get_int_list("missing", "1,2"), (std::vector<std::int64_t>{1, 2}));
+  const Cli bad = make({"--sizes", "8,x"});
+  EXPECT_EXIT((void)bad.get_int_list("sizes", "1"), ::testing::ExitedWithCode(2),
+              "prog: error: option --sizes: expected an integer, got 'x'");
 }
 
 TEST(ParseIntList, RejectsJunkEntries) {

@@ -82,16 +82,16 @@ void TimingWheel::push(Tick time, std::uint32_t type, std::uint32_t a, std::uint
 
 void TimingWheel::append(Tick time, std::uint32_t type, std::uint32_t a, std::uint64_t b) {
   std::uint32_t node = free_;
-  if (node != kNil) {
-    free_ = pool_[node].next;
-    pool_[node] = Node{b, a, type, kNil};
-  } else {
+  if (node == kNil) {
     if (pool_.size() == kNil) {
       throw std::length_error("TimingWheel: more than 2^32 - 1 events in buckets");
     }
     node = static_cast<std::uint32_t>(pool_.size());
-    pool_.push_back(Node{b, a, type, kNil});
+    pool_.emplace_back();
+  } else {
+    free_ = pool_[node].next;
   }
+  pool_[node] = Node{b, a, type, kNil};
   const std::size_t slot = time & mask_;
   Bucket& bucket = buckets_[slot];
   if (bucket.head == kNil) {

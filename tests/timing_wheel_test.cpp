@@ -355,7 +355,8 @@ TEST_P(WheelBoundaries, BucketsAtWordAndRingEdges) {
 
 TEST_P(WheelBoundaries, LastBucketBeforeTheCursorIsFoundLast) {
   // The latest in-horizon tick, cursor + size - 1, sits one bucket below
-  // the cursor's own: a ring scan that starts at the cursor reaches it last.
+  // the cursor's own: a ring scan that starts at the cursor reaches it last,
+  // after an earlier event whose bucket is above the cursor's.
   const std::size_t size = GetParam();
   for (const Tick cursor : {Tick{70}, Tick{3 * size + 1}, Tick{5 * size - 1}}) {
     TimingWheel wheel(size);
@@ -363,6 +364,9 @@ TEST_P(WheelBoundaries, LastBucketBeforeTheCursorIsFoundLast) {
     EXPECT_EQ(wheel.pop_if_at_most(~Tick{0})->time, cursor);
     wheel.push(cursor + size - 1, 1, 0, 0);
     wheel.push(cursor + size, 2, 0, 0);  // first tick beyond the horizon
+    wheel.push(cursor + 5, 3, 0, 0);
+    EXPECT_EQ(wheel.next_time(), cursor + 5);
+    EXPECT_EQ(wheel.pop_if_at_most(~Tick{0})->type, 3u);
     EXPECT_EQ(wheel.next_time(), cursor + size - 1);
     EXPECT_FALSE(wheel.pop_if_at_most(cursor + size - 2).has_value());
     EXPECT_EQ(wheel.pop_if_at_most(~Tick{0})->type, 1u);

@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
   cli.validate();
 
   const auto shape = util::shape_arg_or_exit(cli.get("shape", "8x8x16"), cli.program());
-  const auto bytes = static_cast<std::uint64_t>(cli.get_int("bytes", 960));
+  const auto bytes =
+      static_cast<std::uint64_t>(cli.get_int("bytes", 960, 0, coll::kMaxMsgBytes));
   bench::print_header("Ablation — TPS credit-based flow control (paper Section 5)",
                       ("partition " + shape.to_string() + ", " + std::to_string(bytes) +
                        " B per destination; window 0 = unbounded (no flow control)")

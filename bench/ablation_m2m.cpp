@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
   cli.validate();
 
   const auto shape = util::shape_arg_or_exit(cli.get("shape", "8x8x16"), cli.program());
-  const auto bytes = static_cast<std::uint64_t>(cli.get_int("bytes", 960));
+  const auto bytes =
+      static_cast<std::uint64_t>(cli.get_int("bytes", 960, 0, coll::kMaxMsgBytes));
   const auto nodes = static_cast<std::int32_t>(shape.nodes());
 
   bench::print_header("Extension — many-to-many fan-out sweep, direct vs two-phase",

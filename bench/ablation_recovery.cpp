@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
   cli.describe("bytes", "payload per destination (default 240)");
   cli.describe("shape", "partition to strike (default 8x8x8)");
   cli.validate();
-  const auto bytes = static_cast<std::uint64_t>(cli.get_int("bytes", 240));
+  const auto bytes =
+      static_cast<std::uint64_t>(cli.get_int("bytes", 240, 0, coll::kMaxMsgBytes));
   const auto shape = util::shape_arg_or_exit(cli.get("shape", "8x8x8"), cli.program());
 
   bench::print_header("Ablation — epoch recovery from a mid-collective fail-stop",

@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
   auto ctx = bench::BenchContext::from_cli(cli);
   cli.describe("bytes", "payload per destination (default 240)");
   cli.validate();
-  const auto bytes = static_cast<std::uint64_t>(cli.get_int("bytes", 240));
+  const auto bytes =
+      static_cast<std::uint64_t>(cli.get_int("bytes", 240, 0, coll::kMaxMsgBytes));
 
   bench::print_header("Ablation — router parameters vs AR % of peak",
                       "symmetric 8x8x8 vs asymmetric 8x8x16; default marked *");

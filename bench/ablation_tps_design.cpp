@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
   auto ctx = bench::BenchContext::from_cli(cli);
   cli.describe("bytes", "payload per destination (default 240)");
   cli.validate();
-  const auto bytes = static_cast<std::uint64_t>(cli.get_int("bytes", 240));
+  const auto bytes =
+      static_cast<std::uint64_t>(cli.get_int("bytes", 240, 0, coll::kMaxMsgBytes));
 
   bench::print_header("Ablation — Two Phase Schedule design choices",
                       "percent of Eq. 2 peak; default configuration marked *");

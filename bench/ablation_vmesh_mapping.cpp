@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   auto ctx = bench::BenchContext::from_cli(cli);
   cli.describe("bytes", "payload per destination (default 16)");
   cli.validate();
-  const auto bytes = static_cast<std::uint64_t>(cli.get_int("bytes", 16));
+  const auto bytes =
+      static_cast<std::uint64_t>(cli.get_int("bytes", 16, 0, coll::kMaxMsgBytes));
 
   bench::print_header("Ablation — virtual-mesh mapping and aspect ratio",
                       "short-message VMesh all-to-all time (us) on the 8x8x8 midplane");

@@ -100,7 +100,8 @@ int main(int argc, char** argv) {
   cli.validate();
 
   const auto shape = util::shape_arg_or_exit(cli.get("shape", "8x8x8"), cli.program());
-  const auto bytes = static_cast<std::uint64_t>(cli.get_int("bytes", 240));
+  const auto bytes =
+      static_cast<std::uint64_t>(cli.get_int("bytes", 240, 0, coll::kMaxMsgBytes));
   const std::string out_path = cli.get("out", "BENCH_simcore.json");
   const std::string baseline_path = cli.get("baseline", "");
   const bool verify = cli.get_int("verify", 1) != 0;

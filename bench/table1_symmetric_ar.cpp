@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     const auto run_shape = ctx.runnable(topo::parse_shape(row.shape));
     const std::uint64_t default_bytes = run_shape.nodes() <= 512 ? 3840 : 960;
     const auto bytes = static_cast<std::uint64_t>(
-        cli.get_int("bytes", static_cast<std::int64_t>(default_bytes)));
+        cli.get_int("bytes", static_cast<std::int64_t>(default_bytes), 0, coll::kMaxMsgBytes));
     sweep.add(coll::StrategyKind::kAdaptiveRandom,
               bench::base_options(run_shape, bytes, ctx));
   }

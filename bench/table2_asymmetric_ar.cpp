@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   for (const Row& row : rows) {
     const auto run_shape = ctx.runnable(topo::parse_shape(row.shape));
     const std::uint64_t bytes = static_cast<std::uint64_t>(
-        cli.get_int("bytes", run_shape.nodes() <= 512 ? 960 : 240));
+        cli.get_int("bytes", run_shape.nodes() <= 512 ? 960 : 240, 0, coll::kMaxMsgBytes));
     sweep.add(coll::StrategyKind::kAdaptiveRandom,
               bench::base_options(run_shape, bytes, ctx));
   }

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   for (const Row& row : rows) {
     const auto shape = ctx.runnable(topo::parse_shape(row.shape));
     const std::uint64_t bytes = static_cast<std::uint64_t>(
-        cli.get_int("bytes", shape.nodes() <= 512 ? 960 : 240));
+        cli.get_int("bytes", shape.nodes() <= 512 ? 960 : 240, 0, coll::kMaxMsgBytes));
     const auto options = bench::base_options(shape, bytes, ctx);
     sweep.add(coll::StrategyKind::kTwoPhase, options);
     sweep.add(coll::StrategyKind::kAdaptiveRandom, options);

@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   cli.validate();
 
   const auto shape = util::shape_arg_or_exit(cli.get("shape", "8x8x16"), cli.program());
-  const auto bytes = static_cast<std::uint64_t>(cli.get_int("bytes", 960));
+  const auto bytes =
+      static_cast<std::uint64_t>(cli.get_int("bytes", 960, 0, coll::kMaxMsgBytes));
   const auto fanouts = cli.get_int_list("fanouts", "2,8,32,128");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const auto nodes = static_cast<std::int32_t>(shape.nodes());

@@ -4,11 +4,14 @@
 //   ./quickstart --shape 8x8x8 --strategy ar --bytes 4096
 //
 // Strategies: mpi, ar, dr, throttle, tps, vmesh, best.
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "src/coll/alltoall.hpp"
 #include "src/coll/selector.hpp"
+#include "src/network/fabric.hpp"
 #include "src/network/faults.hpp"
 #include "src/trace/stats.hpp"
 #include "src/util/cli.hpp"
@@ -52,25 +55,29 @@ int main(int argc, char** argv) {
   bgl::coll::AlltoallOptions options;
   options.net.shape = bgl::util::shape_arg_or_exit(cli.get("shape", "8x8x8"), "quickstart");
   options.net.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  options.net.vc_capacity_chunks =
-      static_cast<std::uint16_t>(cli.get_int("vc", options.net.vc_capacity_chunks));
-  options.net.dynamic_vcs =
-      static_cast<std::uint8_t>(cli.get_int("vcs", options.net.dynamic_vcs));
-  options.net.injection_fifos =
-      static_cast<std::uint8_t>(cli.get_int("fifos", options.net.injection_fifos));
-  options.net.injection_fifo_chunks =
-      static_cast<std::uint16_t>(cli.get_int("fifosize", options.net.injection_fifo_chunks));
+  // Each value must fit its config field: a narrowing cast would wrap it.
+  options.net.vc_capacity_chunks = static_cast<std::uint16_t>(
+      cli.get_int("vc", options.net.vc_capacity_chunks, 1, UINT16_MAX));
+  options.net.dynamic_vcs = static_cast<std::uint8_t>(
+      cli.get_int("vcs", options.net.dynamic_vcs, 1, UINT8_MAX));
+  options.net.injection_fifos = static_cast<std::uint8_t>(
+      cli.get_int("fifos", options.net.injection_fifos, 1, UINT8_MAX));
+  options.net.injection_fifo_chunks = static_cast<std::uint16_t>(
+      cli.get_int("fifosize", options.net.injection_fifo_chunks, 1, UINT16_MAX));
   options.net.cpu_links = cli.get_double("cpulinks", options.net.cpu_links);
-  options.net.sim_threads = static_cast<int>(cli.get_int("sim-threads", 1));
-  if (options.net.sim_threads < 1) {
-    cli.fail("option --sim-threads: must be >= 1, got " +
-             std::to_string(options.net.sim_threads));
-  }
-  options.msg_bytes = static_cast<std::uint64_t>(cli.get_int("bytes", 4096));
+  options.net.sim_threads =
+      static_cast<int>(cli.get_int("sim-threads", 1, 1, INT32_MAX));
+  options.msg_bytes = static_cast<std::uint64_t>(
+      cli.get_int("bytes", 4096, 0, bgl::coll::kMaxMsgBytes));
   const std::string fault_spec = cli.get("faults", "");
-  if (!fault_spec.empty()) {
-    options.net.faults = bgl::net::parse_fault_spec(fault_spec);
-    options.verify = true;
+  try {
+    if (!fault_spec.empty()) {
+      options.net.faults = bgl::net::parse_fault_spec(fault_spec);
+      options.verify = true;
+    }
+    bgl::net::check_config(options.net);
+  } catch (const std::exception& error) {
+    cli.fail(error.what());
   }
   if (cli.get_bool("verify", false)) options.verify = true;
   const auto kind = parse_strategy(cli);

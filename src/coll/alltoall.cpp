@@ -51,23 +51,12 @@ net::NetworkConfig effective_net(const AlltoallOptions& options) {
   return net;
 }
 
-// Back half of run_planned: the slab-parallel eligibility gate, the
-// reliability wrapper, the fabric run and the RunResult bookkeeping.
-RunResult finish_run(net::NetworkConfig net, ScheduleExecutor& client,
+// Back half of run_planned: the reliability wrapper, the fabric run and the
+// RunResult bookkeeping.
+RunResult finish_run(const net::NetworkConfig& net, ScheduleExecutor& client,
                      const AlltoallOptions& options, const net::FaultPlan& plan,
                      const net::FaultPlan* faults, DeliveryMatrix* matrix,
                      const std::string& label) {
-  // Eligibility gate for the slab-parallel core (see DESIGN.md "Threading
-  // model"). Fault runs are parallel-eligible now that every stochastic
-  // fault decision is counter-based and fault state is slab-owned; what
-  // still needs one global event order is a schedule with cross-node
-  // dependency gates, which runs as one slab.
-  auto coll_fallback = net::ThreadFallbackReason::kNone;
-  if (net.sim_threads > 1 && !client.schedule().extra_deps.empty()) {
-    coll_fallback = net::ThreadFallbackReason::kCrossNodeDeps;
-    net.sim_threads = 1;
-  }
-
   // Under faults the strategy is wrapped in the end-to-end reliability
   // layer; the fabric then pulls from (and delivers to) the wrapper.
   std::optional<rt::ReliableClient> reliable;
@@ -114,9 +103,7 @@ RunResult finish_run(net::NetworkConfig net, ScheduleExecutor& client,
   result.payload_bytes = fabric.stats().payload_bytes_delivered;
   result.events = fabric.events_processed();
   result.sim_threads = fabric.effective_sim_threads();
-  result.sim_threads_reason = coll_fallback != net::ThreadFallbackReason::kNone
-                                  ? coll_fallback
-                                  : fabric.sim_threads_reason();
+  result.sim_threads_reason = fabric.sim_threads_reason();
   if (net.collect_link_stats) {
     result.links = trace::summarize_links(fabric, result.elapsed_cycles);
   }

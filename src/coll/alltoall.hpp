@@ -55,6 +55,10 @@ struct EpochStats {
   std::uint64_t corruption_retransmits = 0;
 };
 
+/// Largest payload per destination a command line may ask for: repair
+/// schedules name a pair's missing bytes in a 32-bit SendOp::payload_bytes.
+inline constexpr std::int64_t kMaxMsgBytes = 0xffffffff;
+
 struct AlltoallOptions {
   /// Payload bytes per destination (the paper's m).
   std::uint64_t msg_bytes = 240;

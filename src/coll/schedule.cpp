@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "src/trace/csv.hpp"
 
@@ -226,7 +227,6 @@ ScheduleExecutor::ScheduleExecutor(const net::NetworkConfig& config,
       }
     }
   }
-  init_extra_deps();
 }
 
 const std::vector<rt::PacketSpec>& ScheduleExecutor::op_message(
@@ -235,53 +235,6 @@ const std::vector<rt::PacketSpec>& ScheduleExecutor::op_message(
     return op_packets_[op_index];
   }
   return schedule_.phases[schedule_.ops[op_index].phase].packets;
-}
-
-void ScheduleExecutor::init_extra_deps() {
-  if (schedule_.extra_deps.empty()) return;
-  // Dependency edges name transfer ids, and a transfer only has a gateable
-  // emission point in the ordered relay-free form (one message per (src,
-  // dst) pair, emitted at one cursor position). Other forms must be rejected
-  // here — the declared constraint would otherwise be silently ignored.
-  if (schedule_.form != StreamForm::kOrdered ||
-      schedule_.stream.relay != RelayRule::kNone) {
-    throw std::invalid_argument(
-        "extra_deps are executable only on ordered relay-free schedules");
-  }
-  std::vector<std::uint64_t> keys;  // transfer id -> pair key
-  schedule_.for_each_transfer(
-      faults_, [&](const Transfer& t) { keys.push_back(pair_key(t.src, t.dst)); });
-  const auto count = static_cast<std::int64_t>(keys.size());
-  for (const auto& [before, after] : schedule_.extra_deps) {
-    if (before < 0 || before >= count || after < 0 || after >= count) {
-      throw std::invalid_argument("extra_deps transfer id out of range");
-    }
-    if (before == after) {
-      throw std::invalid_argument("extra_deps self-dependency");
-    }
-    ++dep_gates_[keys[static_cast<std::size_t>(after)]];
-    DepWatch& watch = dep_watch_[keys[static_cast<std::size_t>(before)]];
-    watch.bytes_left = static_cast<std::int64_t>(schedule_.msg_bytes);
-    watch.release.push_back(keys[static_cast<std::size_t>(after)]);
-  }
-}
-
-void ScheduleExecutor::note_dep_delivery(topo::Rank orig_src, topo::Rank dst,
-                                         std::uint32_t payload_bytes) {
-  const auto it = dep_watch_.find(pair_key(orig_src, dst));
-  if (it == dep_watch_.end()) return;
-  it->second.bytes_left -= payload_bytes;
-  if (it->second.bytes_left > 0) return;
-  for (const std::uint64_t gated : it->second.release) {
-    const auto gate = dep_gates_.find(gated);
-    assert(gate != dep_gates_.end() && gate->second > 0);
-    if (--gate->second == 0) {
-      dep_gates_.erase(gate);
-      // The waiting sender parked in emit_ordered; re-ask its core.
-      fabric_->wake_cpu(static_cast<topo::Rank>(gated >> 32));
-    }
-  }
-  dep_watch_.erase(it);
 }
 
 std::uint8_t ScheduleExecutor::pick_fifo(NodeState& s, std::uint8_t fifo_class,
@@ -407,15 +360,6 @@ bool ScheduleExecutor::emit_ordered(topo::Rank node, NodeState& s,
       continue;
     }
 
-    if (!dep_gates_.empty()) {
-      const auto gate = dep_gates_.find(pair_key(node, dst));
-      if (gate != dep_gates_.end() && gate->second > 0) {
-        // This transfer waits on an extra_deps edge: park the whole stream
-        // (ordered semantics) until note_dep_delivery re-wakes the core.
-        return false;
-      }
-    }
-
     const PhaseSpec& phase = schedule_.phases[phase_index];
     const std::uint32_t pkt_index =
         s.round * static_cast<std::uint32_t>(st.burst) + s.burst_sent;
@@ -491,7 +435,6 @@ void ScheduleExecutor::on_delivery(topo::Rank node, const net::Packet& packet) {
       const auto orig_src = static_cast<topo::Rank>((packet.tag >> 24) & 0xffffffU);
       note_final_delivery();
       if (matrix_ != nullptr) matrix_->record(orig_src, node, packet.payload_bytes);
-      if (!dep_watch_.empty()) note_dep_delivery(orig_src, node, packet.payload_bytes);
       return;
     }
     case kStoreForward: {

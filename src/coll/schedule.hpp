@@ -8,9 +8,9 @@
 // *schedule builders* — functions of (config, msg_bytes, tuning, fault plan)
 // — and the executor handles packetization cursors, store-and-forward
 // relaying, barrier gating and fault-plan filtering in one place. The IR is
-// also statically analyzable: schedule_lint.hpp checks pair coverage,
-// dependency acyclicity, FIFO budgets and relay liveness without running a
-// simulation, and the same transfer enumeration drives the CSV/JSON dumps.
+// also statically analyzable: schedule_lint.hpp checks pair coverage, FIFO
+// budgets, barrier tables and relay liveness without running a simulation,
+// and the same transfer enumeration drives the CSV/JSON dumps.
 //
 // Two stream forms keep the IR compact at scale:
 //  - kOrdered: per-node generative streams (a DestOrder walked in rounds of
@@ -33,8 +33,6 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/coll/dest_order.hpp"
@@ -213,12 +211,6 @@ struct CommSchedule {
 
   CreditSpec credits{};
 
-  /// Extra transfer-level dependency edges (before, after), by transfer id.
-  /// Execution-level ordering comes from phases, barriers and relay chains;
-  /// these edges annotate additional constraints for composed or generated
-  /// schedules and are validated (phase order + acyclicity) by the linter.
-  std::vector<std::pair<std::int64_t, std::int64_t>> extra_deps;
-
   std::int32_t nodes() const { return static_cast<std::int32_t>(shape.nodes()); }
 
   /// The relay an ordered stream routes (src -> dst) through: src itself for
@@ -290,11 +282,6 @@ class ScheduleExecutor : public net::Client {
   /// Completion time of the collective: the last delivery of *final*
   /// application data (excludes e.g. credit packets).
   net::Tick completion_cycles() const { return completion_.load(std::memory_order_relaxed); }
-
-  /// Final application packets delivered so far (for progress checks).
-  std::uint64_t final_deliveries() const {
-    return final_deliveries_.load(std::memory_order_relaxed);
-  }
 
   /// Clears `mask` bits for pairs the schedule does not carry
   /// (CommSchedule::pair_covered under the executor's fault plan). No-op on
@@ -374,23 +361,11 @@ class ScheduleExecutor : public net::Client {
   /// packetization when SendOp::payload_bytes overrides it.
   const std::vector<rt::PacketSpec>& op_message(std::uint32_t op_index) const;
 
-  // --- extra_deps execution (ordered relay-free schedules only) ---
-  /// Key of an ordered (src, dst) pair — the transfer identity the dependency
-  /// edges resolve to.
-  std::uint64_t pair_key(topo::Rank src, topo::Rank dst) const {
-    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32 |
-           static_cast<std::uint32_t>(dst);
-  }
-  void init_extra_deps();
-  void note_dep_delivery(topo::Rank orig_src, topo::Rank dst,
-                         std::uint32_t payload_bytes);
-
   // Delivery bookkeeping is thread-safe: under a parallel run concurrent
-  // slabs deliver concurrently. Relaxed ordering suffices (monotone counters,
-  // merged views only read after the run joins); on a single-threaded run
-  // the values are bit-identical to plain fields.
+  // slabs deliver concurrently. Relaxed ordering suffices (a monotone
+  // maximum, only read after the run joins); on a single-threaded run the
+  // value is bit-identical to a plain field.
   void note_final_delivery() {
-    final_deliveries_.fetch_add(1, std::memory_order_relaxed);
     net::Tick at = fabric_->now();
     net::Tick seen = completion_.load(std::memory_order_relaxed);
     while (seen < at &&
@@ -402,7 +377,6 @@ class ScheduleExecutor : public net::Client {
   DeliveryMatrix* matrix_ = nullptr;
   const net::FaultPlan* faults_ = nullptr;  // owned by the caller; may be null
   std::atomic<net::Tick> completion_{0};
-  std::atomic<std::uint64_t> final_deliveries_{0};
   net::NetworkConfig config_;
   CommSchedule schedule_;
   std::vector<NodeState> nodes_;
@@ -418,17 +392,6 @@ class ScheduleExecutor : public net::Client {
   /// slabs never touch shared map structure — each op's deliveries all land
   /// at its one destination node. Delivery-matrix bookkeeping only.
   std::vector<std::uint32_t> combined_remaining_;
-  /// Unsatisfied-dependency count per gated transfer, keyed by pair. The
-  /// sender polls its head transfer's gate in emit_ordered and parks until
-  /// the count reaches zero (extra_deps schedules run single-threaded).
-  std::unordered_map<std::uint64_t, std::uint32_t> dep_gates_;
-  struct DepWatch {
-    std::int64_t bytes_left = 0;
-    std::vector<std::uint64_t> release;  // gated pair keys to decrement
-  };
-  /// Transfers other transfers wait on, keyed by pair; bytes_left counts the
-  /// watched transfer's outstanding final-delivery payload.
-  std::unordered_map<std::uint64_t, DepWatch> dep_watch_;
   std::atomic<std::uint64_t> credit_packets_{0};
   std::atomic<std::size_t> max_forward_backlog_{0};
 };

@@ -1,7 +1,7 @@
 #include "src/coll/schedule_lint.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <utility>
 
 namespace bgl::coll {
 
@@ -186,14 +186,13 @@ void check_fifo_budget(const CommSchedule& sched, LintReport& report) {
 }
 
 void check_transfers(const CommSchedule& sched, const net::FaultPlan* faults,
-                     LintReport& report, std::vector<std::uint8_t>& phase_of) {
+                     LintReport& report) {
   const auto nodes = static_cast<std::size_t>(sched.nodes());
   std::vector<std::uint8_t> carried(nodes * nodes, 0);
   const bool faulted = faults != nullptr && faults->enabled();
 
   sched.for_each_transfer(faults, [&](const Transfer& t) {
     ++report.transfers;
-    phase_of.push_back(t.phase);
     if (t.src < 0 || t.src >= sched.nodes() || t.dst < 0 || t.dst >= sched.nodes()) {
       add(report, "coverage",
           "transfer " + std::to_string(t.id) + " has endpoints out of range");
@@ -251,58 +250,6 @@ void check_transfers(const CommSchedule& sched, const net::FaultPlan* faults,
   }
 }
 
-void check_deps(const CommSchedule& sched, LintReport& report,
-                const std::vector<std::uint8_t>& phase_of) {
-  if (sched.extra_deps.empty()) return;
-  // The executor can only gate emission in the ordered relay-free form (one
-  // message per (src, dst) pair, one cursor position); anywhere else the
-  // declared constraint would be unenforceable and is rejected up front,
-  // matching ScheduleExecutor::init_extra_deps.
-  if (sched.form == StreamForm::kExplicit) {
-    add(report, "deps", "extra_deps are not executable on an explicit-form schedule");
-  } else if (sched.stream.relay != RelayRule::kNone) {
-    add(report, "deps", "extra_deps are not executable on a relaying schedule");
-  }
-  const auto transfers = static_cast<std::int64_t>(phase_of.size());
-  std::vector<std::vector<std::int64_t>> out_edges(phase_of.size());
-  std::vector<std::int32_t> in_degree(phase_of.size(), 0);
-  for (const auto& [before, after] : sched.extra_deps) {
-    if (before < 0 || before >= transfers || after < 0 || after >= transfers) {
-      add(report, "deps",
-          "dependency (" + std::to_string(before) + " -> " + std::to_string(after) +
-              ") references a transfer out of range");
-      continue;
-    }
-    if (phase_of[static_cast<std::size_t>(before)] >
-        phase_of[static_cast<std::size_t>(after)]) {
-      add(report, "deps",
-          "dependency (" + std::to_string(before) + " -> " + std::to_string(after) +
-              ") runs backwards across phases");
-    }
-    out_edges[static_cast<std::size_t>(before)].push_back(after);
-    ++in_degree[static_cast<std::size_t>(after)];
-  }
-
-  // Kahn's algorithm; anything left over sits on a cycle.
-  std::deque<std::int64_t> ready;
-  for (std::int64_t t = 0; t < transfers; ++t) {
-    if (in_degree[static_cast<std::size_t>(t)] == 0) ready.push_back(t);
-  }
-  std::int64_t ordered = 0;
-  while (!ready.empty()) {
-    const std::int64_t t = ready.front();
-    ready.pop_front();
-    ++ordered;
-    for (const std::int64_t next : out_edges[static_cast<std::size_t>(t)]) {
-      if (--in_degree[static_cast<std::size_t>(next)] == 0) ready.push_back(next);
-    }
-  }
-  if (ordered != transfers) {
-    add(report, "deps",
-        std::to_string(transfers - ordered) + " transfers sit on a dependency cycle");
-  }
-}
-
 }  // namespace
 
 std::string LintReport::to_string() const {
@@ -319,9 +266,7 @@ LintReport schedule_lint(const CommSchedule& sched, const net::FaultPlan* faults
   LintReport report;
   if (!check_structure(sched, report)) return report;
   check_fifo_budget(sched, report);
-  std::vector<std::uint8_t> phase_of;
-  check_transfers(sched, faults, report, phase_of);
-  check_deps(sched, report, phase_of);
+  check_transfers(sched, faults, report);
   return report;
 }
 

@@ -9,8 +9,6 @@
 //                pairwise disjoint;
 //   coverage     every pair the schedule claims to cover is carried by
 //                exactly one logical transfer (and uncovered pairs by none);
-//   deps         extra dependency edges reference real transfers, respect
-//                phase order and form no cycle;
 //   relay        under a fault plan, every relay is alive and both legs of
 //                every relayed transfer are routable.
 //
@@ -29,7 +27,7 @@
 namespace bgl::coll {
 
 struct LintIssue {
-  std::string check;    // "structure", "fifo-budget", "coverage", "deps", "relay"
+  std::string check;    // "structure", "fifo-budget", "coverage", "relay"
   std::string message;  // human-readable description
 };
 

@@ -1,9 +1,12 @@
 #include "src/harness/bench.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
 #include <stdexcept>
 
@@ -14,6 +17,27 @@
 #include "src/network/faults.hpp"
 
 namespace bgl::harness {
+
+namespace {
+
+// The sinks open their files only after the sweep, so from_cli opens each
+// path once up front: a typo then costs no simulation. Append mode neither
+// truncates an existing file (a sink may also be the --resume input) nor
+// leaves behind one the check created.
+void check_path(const std::string& path, const char* option, const char* mode) {
+  const bool existed = ::access(path.c_str(), F_OK) == 0;
+  std::FILE* file = std::fopen(path.c_str(), mode);
+  if (file == nullptr) {
+    const int error = errno;
+    throw std::runtime_error(std::string("option --") + option + ": cannot " +
+                             (mode[0] == 'r' ? "read " : "write ") + path + ": " +
+                             std::strerror(error));
+  }
+  std::fclose(file);
+  if (!existed) std::remove(path.c_str());
+}
+
+}  // namespace
 
 BenchContext BenchContext::from_cli(util::Cli& cli,
                                     std::initializer_list<std::string_view> unsupported) {
@@ -66,16 +90,8 @@ BenchContext BenchContext::from_cli(util::Cli& cli,
           "option --jobs: must be >= 1 (omit the flag for one worker per "
           "hardware thread)");
     }
-    ctx.sim_threads = static_cast<int>(cli.get_int("sim-threads", 1));
-    if (ctx.sim_threads < 1) {
-      throw std::runtime_error("option --sim-threads: must be >= 1, got " +
-                               std::to_string(ctx.sim_threads));
-    }
-    ctx.sweep.repeats = static_cast<int>(cli.get_int("repeats", 1));
-    if (ctx.sweep.repeats < 1) {
-      throw std::runtime_error("option --repeats: must be >= 1, got " +
-                               std::to_string(ctx.sweep.repeats));
-    }
+    ctx.sim_threads = static_cast<int>(cli.get_int("sim-threads", 1, 1, INT32_MAX));
+    ctx.sweep.repeats = static_cast<int>(cli.get_int("repeats", 1, 1, INT32_MAX));
     const std::string shard = cli.get("shard", "");
     if (!shard.empty() || cli.has("shard")) {
       const ShardSpec spec = parse_shard(shard);
@@ -84,7 +100,9 @@ BenchContext BenchContext::from_cli(util::Cli& cli,
     }
     ctx.sweep.progress = cli.get_bool("progress", ::isatty(2) != 0);
     ctx.csv_path = cli.get("csv", "");
+    if (!ctx.csv_path.empty()) check_path(ctx.csv_path, "csv", "a");
     ctx.json_path = cli.get("json", "");
+    if (!ctx.json_path.empty()) check_path(ctx.json_path, "json", "a");
     ctx.host_timing = cli.get_bool("host-timing", false);
     const double timeout_s = cli.get_double("timeout", 0.0);
     if (cli.has("timeout") && timeout_s <= 0.0) {
@@ -115,6 +133,7 @@ BenchContext BenchContext::from_cli(util::Cli& cli,
             "option --resume: --host-timing rows are nondeterministic and "
             "cannot merge byte-identically");
       }
+      check_path(ctx.resume_path, "resume", "rb");
     }
   } catch (const std::exception& error) {
     cli.fail(error.what());

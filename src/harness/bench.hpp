@@ -40,8 +40,8 @@ struct BenchContext {
   /// fabric core). Orthogonal to --jobs, which parallelizes across sweep
   /// points: for many small points prefer --jobs, for one huge partition
   /// prefer --sim-threads. Fault injection and hop observers run parallel
-  /// too; only zero-lookahead configs and dependency-gated schedules fall
-  /// back to 1 per run (RunResult::sim_threads_reason says why).
+  /// too; only a shape whose slab axis has extent 1 falls back to 1 per
+  /// run (RunResult::sim_threads_reason says why).
   int sim_threads = 1;
   /// Partial CSV/JSON output of an interrupted run (--resume): slots whose
   /// drained rows are already present are skipped, and the sinks write a
@@ -55,7 +55,8 @@ struct BenchContext {
   /// --timeout, --faults, --sim-threads, --resume). Call before
   /// cli.validate(). Prints a clear error to stderr and exits with status 2
   /// on invalid values (--jobs 0, --repeats 0, malformed --shard or
-  /// --faults, non-numeric values).
+  /// --faults, non-numeric values) and on a --csv/--json path it cannot
+  /// write or a --resume file it cannot read, before any sweep job runs.
   ///
   /// `unsupported` names the shared options (without dashes) a bench does
   /// not honor: they stay out of --help, and giving one prints

@@ -143,9 +143,9 @@ struct NetworkConfig {
   /// through the relaxed cross-slab credit-return timing. Fault injection
   /// and hop observers run parallel too (counter-based fault draws,
   /// slab-owned fault state, per-slab ordered observer logs — see
-  /// DESIGN.md); only zero-cost-link configs (no lookahead window) and
-  /// schedules with cross-node extra_deps fall back to 1 thread, and the
-  /// fallback cause is reported in RunResult::sim_threads_reason.
+  /// DESIGN.md); only a shape whose slab axis has extent 1 falls back to
+  /// 1 thread, and the fallback cause is reported in
+  /// RunResult::sim_threads_reason.
   int sim_threads = 1;
 
   /// Fault injection; the default is a healthy network.

@@ -7,6 +7,7 @@
 #include <limits>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace bgl::net {
@@ -30,29 +31,39 @@ bool hop_before(const HopRecord& a, const HopRecord& b) noexcept {
 
 }  // namespace
 
+void check_config(const NetworkConfig& config) {
+  for (int a = 0; a < config.shape.axis_count(); ++a) {
+    // Route state is int16 signed hops per axis; a ring of 32768 peaks at
+    // 16384 hops.
+    if (config.shape.dim[static_cast<std::size_t>(a)] > 32768) {
+      throw std::invalid_argument("dimension extent > 32768 not supported");
+    }
+  }
+  if (config.shape.nodes() > std::numeric_limits<std::int32_t>::max()) {
+    throw std::invalid_argument("node count overflows int32");
+  }
+  if (config.injection_fifos == 0) throw std::invalid_argument("need >= 1 injection FIFO");
+  // A chunk must cost time: the slab lookahead window and the Eq. 2 peak
+  // are both multiples of chunk_cycles.
+  if (config.chunk_cycles == 0) throw std::invalid_argument("chunk_cycles must be >= 1");
+  if (config.max_packet_chunks == 0 ||
+      config.max_packet_chunks > config.vc_capacity_chunks) {
+    throw std::invalid_argument("max packet must fit in a VC buffer");
+  }
+  if (config.dynamic_vcs < 1 || config.dynamic_vcs >= kMaxVcs) {
+    throw std::invalid_argument("dynamic_vcs must be in [1, " + std::to_string(kMaxVcs - 1) +
+                                "]");
+  }
+  if (config.vc_capacity_chunks / config.max_packet_chunks < 2) {
+    throw std::invalid_argument("VC buffer must hold >= 2 max packets (bubble rule)");
+  }
+}
+
 Fabric::Fabric(const NetworkConfig& config, Client& client)
     : config_(config),
       torus_(config.shape),
       client_(&client) {
-  for (int a = 0; a < config_.shape.axis_count(); ++a) {
-    // Route state is int16 signed hops per axis; a ring of 32768 peaks at
-    // 16384 hops.
-    if (config_.shape.dim[static_cast<std::size_t>(a)] > 32768) {
-      throw std::invalid_argument("dimension extent > 32768 not supported");
-    }
-  }
-  if (config_.shape.nodes() > std::numeric_limits<std::int32_t>::max()) {
-    throw std::invalid_argument("node count overflows int32");
-  }
-  if (config_.injection_fifos == 0) throw std::invalid_argument("need >= 1 injection FIFO");
-  if (config_.max_packet_chunks == 0 ||
-      config_.max_packet_chunks > config_.vc_capacity_chunks) {
-    throw std::invalid_argument("max packet must fit in a VC buffer");
-  }
-
-  if (config_.dynamic_vcs < 1 || config_.dynamic_vcs >= kMaxVcs) {
-    throw std::invalid_argument("dynamic_vcs must be in [1, kMaxVcs)");
-  }
+  check_config(config_);
 
   const int nodes = torus_.nodes();
   dirs_ = torus_.directions();
@@ -65,10 +76,8 @@ Fabric::Fabric(const NetworkConfig& config, Client& client)
   // regardless of its size): chunk-granular accounting lets small packets
   // fragment the escape ring's free space until no full-sized packet can
   // continue anywhere, wedging the ring despite the bubble invariant.
+  // check_config guarantees room for two.
   bubble_slots_ = config_.vc_capacity_chunks / config_.max_packet_chunks;
-  if (bubble_slots_ < 2) {
-    throw std::invalid_argument("VC buffer must hold >= 2 max packets (bubble rule)");
-  }
   buffers_.resize(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(dirs_) *
                   static_cast<std::size_t>(vcs_));
   buffer_free_.assign(buffers_.size(), config_.vc_capacity_chunks);
@@ -243,14 +252,9 @@ int Fabric::plan_threads(ThreadFallbackReason* reason) const noexcept {
     give(ThreadFallbackReason::kNotRequested);
     return 1;
   }
-  // The only remaining hard fallback: a zero lookahead window (zero-cost
-  // links) would serialize the slabs anyway. Faults and hop observers are
-  // slab-eligible — counter-based fault draws and per-slab ordered observer
-  // logs need no global event order.
-  if (window_cycles_ == 0) {
-    give(ThreadFallbackReason::kZeroWindow);
-    return 1;
-  }
+  // The only fallback: a slab axis of extent 1 has nothing to partition.
+  // Faults and hop observers are slab-eligible — counter-based fault draws
+  // and per-slab ordered observer logs need no global event order.
   const int extent = config_.shape.dim[static_cast<std::size_t>(slab_axis())];
   if (extent <= 1) {
     give(ThreadFallbackReason::kNarrowShape);
@@ -846,31 +850,13 @@ void Fabric::arbitrate(int link) {
 
       const Packet granted = head;
       queue.pop_front();
-      const std::int32_t credit = (vc == vc_bubble_ ? 1 : granted.chunks);
-      // Credit return: the upstream link feeding this buffer may now proceed.
-      // The free counter is owned by the feeder's slab, so when that slab is
-      // not ours the return travels as a boundary message instead.
-      const Rank upstream = torus_.neighbor(node, topo::Direction::from_index(input ^ 1));
-      const bool credit_cross =
-          upstream >= 0 && node_slab_[static_cast<std::size_t>(upstream)] != shard_ctx_->id;
-      if (!credit_cross) buffer_free_[static_cast<std::size_t>(base + vc)] += credit;
       set_buffer_want(static_cast<std::size_t>(base + vc),
                       queue.empty() ? 0 : want_mask(queue.front()));
       if (faults_active_ && !queue.empty()) {
         head_since_[static_cast<std::size_t>(base + vc)] = now();
       }
-      if (credit_cross) {
-        BoundaryMsg msg;
-        msg.node = upstream;
-        msg.buf = base + vc;
-        msg.chunks = credit;
-        msg.port = static_cast<std::uint8_t>(input);
-        msg.is_credit = true;
-        shard_ctx_->outbox[static_cast<std::size_t>(
-            node_slab_[static_cast<std::size_t>(upstream)])].push_back(msg);
-      } else if (upstream >= 0) {
-        schedule_arb_if_idle(upstream, input);
-      }
+      // The upstream link feeding this buffer may now proceed.
+      return_buffer_credit(node, input, granted);
       if (!queue.empty()) schedule_profitable_arbs(node, queue.front());
 
       rr_next_[lk] = static_cast<std::uint8_t>((input + 1) % dirs_);

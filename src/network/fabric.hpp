@@ -125,25 +125,26 @@ enum class ThreadFallbackReason : std::uint8_t {
   kNone = 0,        // parallel engine in use at the requested width (or capped
                     // only by the slab-axis extent)
   kNotRequested,    // sim_threads <= 1: nobody asked
-  kZeroWindow,      // zero-cost links leave no conservative lookahead window
   kNarrowShape,     // the widest axis has extent 1: nothing to partition
-  kCrossNodeDeps,   // collective layer: schedule phases carry cross-node
-                    // dependencies that need a global event order
 };
 
 constexpr const char* to_string(ThreadFallbackReason reason) noexcept {
   switch (reason) {
     case ThreadFallbackReason::kNone: return "parallel";
     case ThreadFallbackReason::kNotRequested: return "not requested";
-    case ThreadFallbackReason::kZeroWindow: return "zero lookahead window";
     case ThreadFallbackReason::kNarrowShape: return "slab axis extent 1";
-    case ThreadFallbackReason::kCrossNodeDeps: return "cross-node schedule deps";
   }
   return "?";
 }
 
+/// Throws std::invalid_argument naming the first setting of `config` the
+/// fabric cannot simulate. Fabric's constructor runs it; a front end may run
+/// it first to report a bad command line as a usage error.
+void check_config(const NetworkConfig& config);
+
 class Fabric {
  public:
+  /// Throws std::invalid_argument on a config check_config rejects.
   Fabric(const NetworkConfig& config, Client& client);
 
   Fabric(const Fabric&) = delete;
@@ -365,8 +366,8 @@ class Fabric {
     std::vector<HopRecord> hop_replay;
     /// Wheel events the barrier hands this slab (boundary arrivals and
     /// credit wakes), pushed by the slab's own worker when its next window
-    /// starts: a wheel's buckets only ever grow in its owner's thread, so
-    /// the barrier thread never spreads a slab's memory over another
+    /// starts: a wheel's node pool only ever grows in its owner's thread,
+    /// so the barrier thread never spreads a slab's memory over another
     /// thread's malloc arena.
     std::vector<sim::Event> inbox;
   };
@@ -442,10 +443,10 @@ class Fabric {
   /// own slice (its links' down bits, its nodes' cores, its flight arena, its
   /// memo).
   void on_fault_event(std::uint32_t a, std::uint64_t b);
-  /// Returns the downstream credit a dropped packet reserved in buffer
-  /// (node, port, packet.vc) and re-arms the feeding link. The free counter
-  /// is owned by the feeder's slab, so with a foreign feeder the return
-  /// travels as a boundary credit message.
+  /// Returns the credit `packet` reserved in buffer (node, port, packet.vc)
+  /// once it leaves that buffer (granted onward or dropped) and re-arms the
+  /// feeding link. The free counter is owned by the feeder's slab, so with a
+  /// foreign feeder the return travels as a boundary credit message.
   void return_buffer_credit(Rank node, int port, const Packet& packet);
   /// True when `head`, after crossing `dir` into `peer`, still has a live
   /// minimal continuation (permanent fault state).

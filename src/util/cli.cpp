@@ -83,6 +83,16 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const 
   return parse_or_fail(*this, [&] { return parse_strict_int(it->second, "option --" + name); });
 }
 
+std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback,
+                          std::int64_t lo, std::int64_t hi) const {
+  const std::int64_t value = get_int(name, fallback);
+  if (value < lo || value > hi) {
+    fail("option --" + name + ": must be in [" + std::to_string(lo) + ", " +
+         std::to_string(hi) + "], got " + std::to_string(value));
+  }
+  return value;
+}
+
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end() || it->second.empty()) return fallback;

@@ -25,6 +25,11 @@ class Cli {
   /// is a usage error naming the option (fail(); "--seed 12x" exits 2, it
   /// does not run seed 12).
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// get_int limited to [lo, hi]: a value outside the range is a usage error
+  /// naming the option ("--fifos 264" exits 2; it does not wrap to 8 when
+  /// the caller narrows it to uint8).
+  std::int64_t get_int(const std::string& name, std::int64_t fallback,
+                       std::int64_t lo, std::int64_t hi) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
   /// Comma-separated integers ("8,64,512"), parsed from `fallback` when the

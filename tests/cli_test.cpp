@@ -92,6 +92,25 @@ TEST(Cli, IntValuesAcceptNegativesAndRejectOverflow) {
               ::testing::ExitedWithCode(2), "error:");
 }
 
+// A bounded read rejects what the caller's field cannot hold instead of
+// letting a narrowing cast wrap it ("--fifos 264" once ran with 8 FIFOs,
+// "--bytes -1" with 2^64 - 1 bytes).
+TEST(Cli, BoundedIntValues) {
+  EXPECT_EQ(make({"--fifos=1"}).get_int("fifos", 8, 1, 255), 1);
+  EXPECT_EQ(make({"--fifos=255"}).get_int("fifos", 8, 1, 255), 255);
+  EXPECT_EQ(make({}).get_int("fifos", 8, 1, 255), 8);
+  EXPECT_EXIT((void)make({"--fifos=256"}).get_int("fifos", 8, 1, 255),
+              ::testing::ExitedWithCode(2),
+              "prog: error: option --fifos: must be in \\[1, 255\\], got 256");
+  EXPECT_EXIT((void)make({"--fifos=0"}).get_int("fifos", 8, 1, 255),
+              ::testing::ExitedWithCode(2), "option --fifos: must be in .*, got 0");
+  EXPECT_EXIT((void)make({"--bytes=-1"}).get_int("bytes", 240, 0, 4096),
+              ::testing::ExitedWithCode(2), "option --bytes: must be in .*, got -1");
+  // A malformed value is still reported as malformed.
+  EXPECT_EXIT((void)make({"--fifos=2x"}).get_int("fifos", 8, 1, 255),
+              ::testing::ExitedWithCode(2), "option --fifos: expected an integer");
+}
+
 TEST(Cli, DoubleValuesRejectTrailingJunk) {
   for (const std::string bad : {"2.5x", "x2.5", "1e"}) {
     const std::string arg = "--factor=" + bad;

@@ -165,6 +165,17 @@ TEST(FabricApi, DeadlineStopsBeforeLaterEvents) {
   EXPECT_GT(client.delivery_time, client.fire_time);
 }
 
+TEST(FabricApi, ZeroChunkCyclesIsRejected) {
+  // Free links leave no slab lookahead window and a zero Eq. 2 peak, so
+  // the config is refused up front rather than run on a fallback.
+  auto config = make_config("4x4x4");
+  config.chunk_cycles = 0;
+  config.sim_threads = 4;
+  TimerClient client;
+  EXPECT_THROW(check_config(config), std::invalid_argument);
+  EXPECT_THROW(Fabric(config, client), std::invalid_argument);
+}
+
 /// Every node sends `per_node` packets to the nodes after it (cyclically)
 /// and logs, in callback order, the time of each delivery.
 class RingTrafficClient : public Client {

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <mutex>
@@ -505,6 +506,50 @@ TEST(BenchContextDeathTest, UnsupportedSharedOptionIsAnError) {
     EXPECT_EXIT(parse(flag), ::testing::ExitedWithCode(2),
                 std::string("bench: option ") + flag + " is not supported by this bench");
   }
+}
+
+TEST(BenchContextDeathTest, BadSinkOrResumePathFailsBeforeAnySweepJob) {
+  // The sinks open their files only after the sweep, so from_cli checks
+  // the paths first. The one job exits 3 from its hop observer if it runs.
+  const auto bench = [](std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "bench");
+    argv.insert(argv.end(), {"--jobs", "1"});
+    util::Cli cli(static_cast<int>(argv.size()), argv.data());
+    const BenchContext ctx = BenchContext::from_cli(cli);
+    coll::AlltoallOptions options = ctx.base_options(topo::parse_shape("4x4"), 32);
+    options.hop_observer = [](const net::Packet&, topo::Rank, int, int) { std::_Exit(3); };
+    Sweep sweep;
+    sweep.add(coll::StrategyKind::kAdaptiveRandom, options);
+    ctx.run(sweep);
+  };
+  EXPECT_EXIT(bench({}), ::testing::ExitedWithCode(3), "");  // the probe works
+  EXPECT_EXIT(bench({"--csv", "/nonexistent/dir/x.csv"}), ::testing::ExitedWithCode(2),
+              "bench: error: option --csv: cannot write /nonexistent/dir/x.csv");
+  EXPECT_EXIT(bench({"--json", "/nonexistent/dir/x.json"}), ::testing::ExitedWithCode(2),
+              "bench: error: option --json: cannot write /nonexistent/dir/x.json");
+  const std::string csv = testing::TempDir() + "harness_test_resumed.csv";
+  EXPECT_EXIT(bench({"--csv", csv.c_str(), "--resume", "/nonexistent.csv"}),
+              ::testing::ExitedWithCode(2),
+              "bench: error: option --resume: cannot read /nonexistent.csv");
+}
+
+TEST(BenchContext, SinkPathCheckLeavesFilesAsTheyWere) {
+  // A sink path may also be the --resume input: the check must not
+  // truncate it, and must not leave behind a file it created.
+  const std::string kept = testing::TempDir() + "harness_test_kept.csv";
+  const std::string fresh = testing::TempDir() + "harness_test_fresh.json";
+  std::remove(fresh.c_str());
+  { std::ofstream(kept) << "partial\n"; }
+  const char* argv[] = {"bench", "--csv", kept.c_str(), "--json", fresh.c_str()};
+  util::Cli cli(5, argv);
+  const auto ctx = BenchContext::from_cli(cli);
+  EXPECT_EQ(ctx.csv_path, kept);
+  std::ifstream in(kept);
+  std::string line;
+  EXPECT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "partial");
+  EXPECT_FALSE(std::ifstream(fresh).good());
+  std::remove(kept.c_str());
 }
 
 TEST(BenchContext, UnsupportedOptionsLeaveTheOthersWorking) {

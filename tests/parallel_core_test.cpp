@@ -4,23 +4,15 @@
 //    delivered packet/byte totals of the one-slab run exactly, and is
 //    deterministic for a fixed (seed, threads).
 //  - Fault runs are parallel-eligible (counter-based fault draws, slab-owned
-//    fault state); the remaining ineligible configuration (cross-node
-//    extra_deps) runs as one slab and reports sim_threads == 1 with the
-//    cause in sim_threads_reason.
+//    fault state) and report kNone in sim_threads_reason.
 //  - A delayed permanent strike (fail_at > 0) is planned blind, quiesces
 //    without tripping the watchdog, and reports the relay payload stranded
 //    in dead custodians.
-//  - CommSchedule::extra_deps are enforced on ordered relay-free schedules
-//    and rejected everywhere else.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <stdexcept>
-#include <vector>
 
 #include "src/coll/alltoall.hpp"
-#include "src/coll/registry.hpp"
-#include "src/coll/schedule.hpp"
 #include "src/network/fabric.hpp"
 
 namespace bgl::coll {
@@ -99,24 +91,6 @@ TEST(ParallelCore, FaultRunsStayOnTheParallelEngine) {
   EXPECT_EQ(r.sim_threads_reason, net::ThreadFallbackReason::kNone);
 }
 
-TEST(ParallelCore, FallbackReasonNamesCrossNodeDeps) {
-  net::NetworkConfig net;
-  net.shape = topo::parse_shape("4x1x1");
-  net.seed = 3;
-  net.sim_threads = 4;
-  AlltoallOptions options;
-  options.net = net;
-  options.msg_bytes = 240;
-  options.order = OrderPolicy::kRotation;
-  CommSchedule sched =
-      build_schedule(StrategyKind::kMpi, net, options.msg_bytes, options, nullptr);
-  sched.extra_deps = {{5, 0}};
-  const RunResult r = run_schedule(std::move(sched), options, "deps");
-  ASSERT_TRUE(r.drained);
-  EXPECT_EQ(r.sim_threads, 1);
-  EXPECT_EQ(r.sim_threads_reason, net::ThreadFallbackReason::kCrossNodeDeps);
-}
-
 TEST(ParallelCore, EveryRegistryStrategyRunsOnTheParallelEngine) {
   // With the bespoke clients retired, every registry strategy expands to a
   // CommSchedule and is slab-eligible on a fault-free run.
@@ -180,126 +154,6 @@ TEST(MidRunStrike, ImmediateStrikeStillPlansAroundFaults) {
   EXPECT_GT(r.unreachable_pairs, 0u);
   EXPECT_TRUE(r.reachable_complete);
   EXPECT_EQ(r.faults.stranded_relay_bytes, 0u);
-}
-
-// --- extra_deps execution --------------------------------------------------
-
-/// Direct single-phase schedule on a 4-node ring with the deterministic
-/// rotation order: node n sends to n+1, n+2, n+3 in turn. Transfer ids are
-/// node-major: node 0 emits ids 0..2, node 1 ids 3..5 (id 5 = 1 -> 0), etc.
-CommSchedule ring_schedule(const net::NetworkConfig& net, std::uint64_t msg_bytes) {
-  AlltoallOptions options;
-  options.net = net;
-  options.msg_bytes = msg_bytes;
-  options.order = OrderPolicy::kRotation;
-  return build_schedule(StrategyKind::kMpi, net, msg_bytes, options, nullptr);
-}
-
-struct HopLog {
-  std::uint64_t counter = 0;
-  std::uint64_t first_0to1 = 0;       // first hop grant of any (0 -> 1) packet
-  std::uint64_t last_1to0_delivery = 0;  // last delivery grant of (1 -> 0)
-};
-
-void observe_hops(net::Fabric& fabric, HopLog& log) {
-  fabric.set_hop_observer(
-      [&log](const net::Packet& packet, topo::Rank, int, int target) {
-        ++log.counter;
-        if ((packet.tag >> 62) != 0) return;  // kFinal only
-        const auto orig = static_cast<topo::Rank>((packet.tag >> 24) & 0xffffff);
-        const auto dst = static_cast<topo::Rank>(packet.tag & 0xffffff);
-        if (orig == 0 && dst == 1 && log.first_0to1 == 0) {
-          log.first_0to1 = log.counter;
-        }
-        if (orig == 1 && dst == 0 && target == -1) {  // delivery grant
-          log.last_1to0_delivery = log.counter;
-        }
-      });
-}
-
-TEST(ExtraDeps, GateHoldsTransferUntilDependencyDelivered) {
-  net::NetworkConfig net;
-  net.shape = topo::parse_shape("4x1x1");
-  net.seed = 3;
-  const std::uint64_t msg_bytes = 480;
-
-  // Baseline: without the dependency, (0 -> 1) — node 0's first transfer —
-  // is injected long before (1 -> 0), node 1's last, finishes.
-  {
-    CommSchedule sched = ring_schedule(net, msg_bytes);
-    ScheduleExecutor exec(net, sched, nullptr);
-    net::Fabric fabric(net, exec);
-    exec.bind(fabric);
-    HopLog log;
-    observe_hops(fabric, log);
-    ASSERT_TRUE(fabric.run(Tick{1} << 40));
-    ASSERT_GT(log.last_1to0_delivery, 0u);
-    ASSERT_GT(log.first_0to1, 0u);
-    EXPECT_LT(log.first_0to1, log.last_1to0_delivery);
-  }
-
-  // With "(1 -> 0) before (0 -> 1)", node 0's whole stream parks until the
-  // full dependency message has been delivered, then completes normally.
-  {
-    CommSchedule sched = ring_schedule(net, msg_bytes);
-    sched.extra_deps = {{5, 0}};
-    DeliveryMatrix matrix(4);
-    ScheduleExecutor exec(net, sched, &matrix);
-    net::Fabric fabric(net, exec);
-    exec.bind(fabric);
-    HopLog log;
-    observe_hops(fabric, log);
-    ASSERT_TRUE(fabric.run(Tick{1} << 40));
-    ASSERT_GT(log.last_1to0_delivery, 0u);
-    ASSERT_GT(log.first_0to1, 0u);
-    EXPECT_GT(log.first_0to1, log.last_1to0_delivery);
-    EXPECT_TRUE(matrix.complete(msg_bytes)) << matrix.first_error(msg_bytes);
-  }
-}
-
-TEST(ExtraDeps, RejectedOnRelaySchedules) {
-  net::NetworkConfig net;
-  net.shape = topo::parse_shape("4x4x4");
-  net.seed = 3;
-  AlltoallOptions options;
-  options.net = net;
-  options.msg_bytes = 300;
-  CommSchedule sched =
-      build_schedule(StrategyKind::kTwoPhase, net, options.msg_bytes, options, nullptr);
-  sched.extra_deps = {{0, 1}};
-  EXPECT_THROW(ScheduleExecutor(net, std::move(sched), nullptr), std::invalid_argument);
-}
-
-TEST(ExtraDeps, RejectedOnExplicitSchedules) {
-  net::NetworkConfig net;
-  net.shape = topo::parse_shape("4x4x4");
-  net.seed = 3;
-  AlltoallOptions options;
-  options.net = net;
-  options.msg_bytes = 300;
-  CommSchedule sched = build_schedule(StrategyKind::kVirtualMesh, net,
-                                      options.msg_bytes, options, nullptr);
-  ASSERT_EQ(sched.form, StreamForm::kExplicit);
-  sched.extra_deps = {{0, 1}};
-  EXPECT_THROW(ScheduleExecutor(net, std::move(sched), nullptr), std::invalid_argument);
-}
-
-TEST(ExtraDeps, RejectedWhenOutOfRangeOrSelfReferential) {
-  net::NetworkConfig net;
-  net.shape = topo::parse_shape("4x1x1");
-  net.seed = 3;
-  {
-    CommSchedule sched = ring_schedule(net, 240);
-    sched.extra_deps = {{0, 9999}};
-    EXPECT_THROW(ScheduleExecutor(net, std::move(sched), nullptr),
-                 std::invalid_argument);
-  }
-  {
-    CommSchedule sched = ring_schedule(net, 240);
-    sched.extra_deps = {{2, 2}};
-    EXPECT_THROW(ScheduleExecutor(net, std::move(sched), nullptr),
-                 std::invalid_argument);
-  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Static schedule validation: every registered strategy must lint clean on
 // the standard shape matrix (fault-free and under a fault plan), and the
 // linter must reject the seeded-bad schedules — a dropped pair and a
-// dependency cycle — plus FIFO-budget violations.
+// duplicated pair — plus FIFO-budget violations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -138,71 +138,6 @@ TEST(ScheduleLint, RejectsDuplicatedPair) {
   const LintReport report = schedule_lint(sched, nullptr);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_issue(report, "coverage")) << report.to_string();
-}
-
-TEST(ScheduleLint, RejectsDependencyCycle) {
-  CommSchedule sched = tiny_explicit_schedule();
-  sched.extra_deps = {{0, 1}, {1, 0}};
-  const LintReport report = schedule_lint(sched, nullptr);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(has_issue(report, "deps")) << report.to_string();
-}
-
-TEST(ScheduleLint, RejectsDependenciesOnExplicitForm) {
-  // Even an acyclic, in-range dependency set is unenforceable on an
-  // explicit-form schedule: the executor has no per-transfer emission point
-  // to gate, so the linter must flag the constraint as non-executable.
-  CommSchedule sched = tiny_explicit_schedule();
-  sched.extra_deps = {{0, 1}};
-  const LintReport report = schedule_lint(sched, nullptr);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(has_issue(report, "deps")) << report.to_string();
-}
-
-TEST(ScheduleLint, RejectsDependenciesOnRelaySchedule) {
-  // TPS relays through intermediates; extra_deps on such a schedule are
-  // declared-but-unenforceable and must be rejected, not silently ignored.
-  const AlltoallOptions options = options_for("4x4x4", 300);
-  CommSchedule sched =
-      build_schedule(StrategyKind::kTwoPhase, options.net, options.msg_bytes,
-                     options, nullptr);
-  ASSERT_EQ(sched.form, StreamForm::kOrdered);
-  ASSERT_NE(sched.stream.relay, RelayRule::kNone);
-  sched.extra_deps = {{0, 1}};
-  const LintReport report = schedule_lint(sched, nullptr);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(has_issue(report, "deps")) << report.to_string();
-}
-
-TEST(ScheduleLint, AcceptsDependenciesOnOrderedDirectSchedule) {
-  const AlltoallOptions options = options_for("4x4x4", 300);
-  CommSchedule sched = build_schedule(StrategyKind::kMpi, options.net,
-                                      options.msg_bytes, options, nullptr);
-  ASSERT_EQ(sched.form, StreamForm::kOrdered);
-  ASSERT_EQ(sched.stream.relay, RelayRule::kNone);
-  sched.extra_deps = {{0, 100}};  // acyclic, in range: executable
-  const LintReport report = schedule_lint(sched, nullptr);
-  EXPECT_TRUE(report.ok()) << report.to_string();
-}
-
-TEST(ScheduleLint, RejectsOutOfRangeDependency) {
-  CommSchedule sched = tiny_explicit_schedule();
-  sched.extra_deps = {{0, 99}};
-  const LintReport report = schedule_lint(sched, nullptr);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(has_issue(report, "deps")) << report.to_string();
-}
-
-TEST(ScheduleLint, RejectsBackwardsPhaseDependency) {
-  // Two-phase variant: an edge from a phase-1 transfer back to a phase-0
-  // transfer contradicts execution order.
-  CommSchedule sched = tiny_explicit_schedule();
-  sched.phases.push_back(sched.phases[0]);
-  sched.ops[1].phase = 1;
-  sched.extra_deps = {{1, 0}};
-  const LintReport report = schedule_lint(sched, nullptr);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(has_issue(report, "deps")) << report.to_string();
 }
 
 TEST(ScheduleLint, RejectsOverlappingReservedFifoClasses) {

@@ -6,8 +6,8 @@
 //   schedule_lint --list
 //
 // Builds the named strategy's CommSchedule for the shape/size (under an
-// optional fault plan) and runs the static linter: pair coverage, dependency
-// acyclicity, FIFO budget, relay liveness. No simulation is run.
+// optional fault plan) and runs the static linter: structure, pair coverage,
+// FIFO budget, relay liveness. No simulation is run.
 //
 // Exit codes: 0 = schedule lints clean, 1 = lint issues found, 2 = usage error.
 #include <cstdio>
@@ -59,7 +59,8 @@ int run(int argc, char** argv) {
   coll::AlltoallOptions options;
   options.net.shape = util::shape_arg_or_exit(cli.get("shape", "4x4x4"), cli.program());
   options.net.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  options.msg_bytes = static_cast<std::uint64_t>(cli.get_int("size", 300));
+  options.msg_bytes =
+      static_cast<std::uint64_t>(cli.get_int("size", 300, 0, coll::kMaxMsgBytes));
 
   const std::string fault_spec = cli.get("faults", "");
   if (!fault_spec.empty()) options.net.faults = net::parse_fault_spec(fault_spec);

@@ -55,7 +55,8 @@ int run(int argc, char** argv) {
   coll::synth::SynthOptions opts;
   opts.net.shape = util::shape_arg_or_exit(cli.get("shape", "4x4x4"), cli.program());
   opts.net.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  opts.msg_bytes = static_cast<std::uint64_t>(cli.get_int("size", 240));
+  opts.msg_bytes =
+      static_cast<std::uint64_t>(cli.get_int("size", 240, 0, coll::kMaxMsgBytes));
   opts.seed = static_cast<std::uint64_t>(cli.get_int("search-seed", 1));
   opts.beam_width = static_cast<int>(cli.get_int("beam", 4));
   opts.generations = static_cast<int>(cli.get_int("generations", 3));

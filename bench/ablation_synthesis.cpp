@@ -11,6 +11,7 @@
 //   ablation_synthesis --jobs 16 --cache /tmp/synth-cache --sa 8
 //
 // The search is deterministic per (--seed, budget knobs) at any --jobs.
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -34,13 +35,13 @@ int main(int argc, char** argv) {
   cli.describe("cache", "winner-cache directory (default: search every time)");
   cli.validate();
 
-  const int jobs = static_cast<int>(cli.get_int("jobs", 8));
-  const int sim_threads = static_cast<int>(cli.get_int("sim-threads", 1));
+  const int jobs = static_cast<int>(cli.get_int("jobs", 8, 1, INT32_MAX));
+  const int sim_threads = static_cast<int>(cli.get_int("sim-threads", 1, 1, INT32_MAX));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2));
-  const int beam = static_cast<int>(cli.get_int("beam", 3));
-  const int generations = static_cast<int>(cli.get_int("generations", 2));
-  const int mutations = static_cast<int>(cli.get_int("mutations", 3));
-  const int sa_steps = static_cast<int>(cli.get_int("sa", 0));
+  const int beam = static_cast<int>(cli.get_int("beam", 3, 1, INT32_MAX));
+  const int generations = static_cast<int>(cli.get_int("generations", 2, 0, INT32_MAX));
+  const int mutations = static_cast<int>(cli.get_int("mutations", 3, 0, INT32_MAX));
+  const int sa_steps = static_cast<int>(cli.get_int("sa", 0, 0, INT32_MAX));
   const std::string cache_dir = cli.get("cache", "");
 
   bench::print_header("Ablation — schedule synthesis vs the registry",

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
       "measured vs Eq. 3 prediction vs Eq. 2 peak; times in microseconds");
 
   std::vector<std::int64_t> sizes = {8, 32, 64, 128, 240, 480, 960, 1920, 4096, 8192, 16384};
-  if (cli.has("sizes")) sizes = cli.get_int_list("sizes", "");
+  if (cli.has("sizes")) sizes = cli.get_int_list("sizes", "", 0, coll::kMaxMsgBytes);
 
   harness::Sweep sweep;
   for (const std::int64_t size : sizes) {

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::int64_t> sizes = {8, 64, 240, 960};
   if (shape.nodes() > 1024) sizes = {8, 64, 240};  // keep default runs snappy
-  if (cli.has("sizes")) sizes = cli.get_int_list("sizes", "");
+  if (cli.has("sizes")) sizes = cli.get_int_list("sizes", "", 0, coll::kMaxMsgBytes);
 
   harness::Sweep sweep;
   for (const std::int64_t size : sizes) {

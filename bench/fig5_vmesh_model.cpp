@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
                       "Eq. 4 predicted time vs simulated VMesh time (us)");
 
   std::vector<std::int64_t> sizes = {1, 2, 4, 8, 16, 32, 64, 128, 256};
-  if (cli.has("sizes")) sizes = cli.get_int_list("sizes", "");
+  if (cli.has("sizes")) sizes = cli.get_int_list("sizes", "", 0, coll::kMaxMsgBytes);
 
   harness::Sweep sweep;
   for (const std::int64_t size : sizes) {

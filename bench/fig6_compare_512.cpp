@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
                       "short-message regime; crossover expected between 32 and 64 B");
 
   std::vector<std::int64_t> sizes = {1, 8, 16, 32, 64, 128, 240, 480, 960, 4096};
-  if (cli.has("sizes")) sizes = cli.get_int_list("sizes", "");
+  if (cli.has("sizes")) sizes = cli.get_int_list("sizes", "", 0, coll::kMaxMsgBytes);
 
   harness::Sweep sweep;
   for (const std::int64_t size : sizes) {

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   const int pvx = static_cast<int>(shape.nodes()) / pvy;
 
   std::vector<std::int64_t> sizes = {1, 8, 16, 32, 64, 128, 240};
-  if (cli.has("sizes")) sizes = cli.get_int_list("sizes", "");
+  if (cli.has("sizes")) sizes = cli.get_int_list("sizes", "", 0, coll::kMaxMsgBytes);
 
   harness::Sweep sweep;
   for (const std::int64_t size : sizes) {

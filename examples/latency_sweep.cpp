@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   cli.validate();
 
   const auto shape = util::shape_arg_or_exit(cli.get("shape", "8x8x8"), cli.program());
-  const auto sizes = cli.get_int_list("sizes", "1,8,32,64,240,960");
+  const auto sizes = cli.get_int_list("sizes", "1,8,32,64,240,960", 0, coll::kMaxMsgBytes);
 
   std::vector<coll::StrategyKind> kinds;
   {

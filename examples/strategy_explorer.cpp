@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   cli.validate();
 
   const auto shape = util::shape_arg_or_exit(cli.get("shape", "8x8x16"), cli.program());
-  auto sizes = cli.get_int_list("sizes", "8,64,240,960");
+  auto sizes = cli.get_int_list("sizes", "8,64,240,960", 0, coll::kMaxMsgBytes);
   const bool show_links = cli.get_bool("links", false);
 
   std::printf("strategy comparison on %s (%lld nodes); cells are %% of Eq. 2 peak\n\n",

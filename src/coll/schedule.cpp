@@ -13,22 +13,20 @@ namespace bgl::coll {
 // --- CommSchedule -----------------------------------------------------------
 
 bool CommSchedule::leg_ok(topo::Rank from, topo::Rank to,
-                          const net::FaultPlan* faults,
-                          net::FaultPlan::RouteMemo* memo) const {
+                          const net::FaultPlan* faults) const {
   if (faults == nullptr || from == to) return true;
-  return faults->pair_routable(from, to, net::RoutingMode::kAdaptive, memo);
+  return faults->pair_routable(from, to, net::RoutingMode::kAdaptive);
 }
 
 topo::Rank CommSchedule::relay_for(topo::Rank src, topo::Rank dst,
-                                   const net::FaultPlan* faults,
-                                   net::FaultPlan::RouteMemo* memo) const {
+                                   const net::FaultPlan* faults) const {
   const auto axis = static_cast<std::size_t>(stream.relay_axis);
   topo::Coord c = torus.coord_of(src);
   c[stream.relay_axis] = torus.coord_of(dst)[stream.relay_axis];
   const topo::Rank canon = torus.rank_of(c);
   if (faults == nullptr || !faults->enabled()) return canon;
-  if (faults->node_alive(canon) && leg_ok(src, canon, faults, memo) &&
-      leg_ok(canon, dst, faults, memo)) {
+  if (faults->node_alive(canon) && leg_ok(src, canon, faults) &&
+      leg_ok(canon, dst, faults)) {
     return canon;
   }
   // Degrade to the first live node on src's relay-axis line with both legs
@@ -39,8 +37,8 @@ topo::Rank CommSchedule::relay_for(topo::Rank src, topo::Rank dst,
     probe[stream.relay_axis] = k;
     const topo::Rank inter = torus.rank_of(probe);
     if (inter == canon) continue;
-    if (faults->node_alive(inter) && leg_ok(src, inter, faults, memo) &&
-        leg_ok(inter, dst, faults, memo)) {
+    if (faults->node_alive(inter) && leg_ok(src, inter, faults) &&
+        leg_ok(inter, dst, faults)) {
       return inter;
     }
   }
@@ -48,18 +46,16 @@ topo::Rank CommSchedule::relay_for(topo::Rank src, topo::Rank dst,
 }
 
 bool CommSchedule::pair_covered(topo::Rank src, topo::Rank dst,
-                                const net::FaultPlan* faults,
-                                net::FaultPlan::RouteMemo* memo) const {
+                                const net::FaultPlan* faults) const {
   if (src == dst || !covered.reachable(src, dst)) return false;
   // Explicit builders fold their fault rule into `covered`.
   if (faults == nullptr || !faults->enabled() || form == StreamForm::kExplicit) {
     return true;
   }
   if (stream.relay == RelayRule::kLinearAxis) {
-    return relay_for(src, dst, faults, memo) >= 0;
+    return relay_for(src, dst, faults) >= 0;
   }
-  return faults->pair_routable(src, dst,
-                               phases[stream.final_phase].mode, memo);
+  return faults->pair_routable(src, dst, phases[stream.final_phase].mode);
 }
 
 void CommSchedule::finalize_list(const SendOp& op, topo::Rank op_src,
@@ -318,11 +314,7 @@ bool ScheduleExecutor::emit_ordered(topo::Rank node, NodeState& s,
     bool store_forward = false;
     std::uint8_t phase_index = st.final_phase;
     if (st.relay == RelayRule::kLinearAxis) {
-      // Route the routability probes through the executing slab's memo:
-      // under --sim-threads the plan's internal cache is shared state.
-      const topo::Rank inter = schedule_.relay_for(
-          node, dst, faults_,
-          fabric_ != nullptr ? fabric_->route_memo_scratch() : nullptr);
+      const topo::Rank inter = schedule_.relay_for(node, dst, faults_);
       if (inter < 0) {  // unreachable under the fault plan: skip the pair
         ++s.position;
         continue;
@@ -352,10 +344,8 @@ bool ScheduleExecutor::emit_ordered(topo::Rank node, NodeState& s,
       wire_dst = relayed_leg ? inter : dst;
       phase_index = relayed_leg ? st.relayed_phase : st.final_phase;
     } else if (faults_ != nullptr &&
-               !faults_->pair_routable(
-                   node, dst, schedule_.phases[st.final_phase].mode,
-                   fabric_ != nullptr ? fabric_->route_memo_scratch()
-                                      : nullptr)) {
+               !faults_->pair_routable(node, dst,
+                                       schedule_.phases[st.final_phase].mode)) {
       ++s.position;  // no live path will ever exist; skip the destination
       continue;
     }

@@ -216,18 +216,13 @@ struct CommSchedule {
   /// The relay an ordered stream routes (src -> dst) through: src itself for
   /// a direct send, or -1 when no live relay exists under `faults`.
   /// Deterministic, so coverage, lint and execution agree.
-  /// When called from inside a parallel fabric handler, pass the executing
-  /// slab's memo (Fabric::route_memo_scratch) — the plan's internal memo is
-  /// not thread-safe.
   topo::Rank relay_for(topo::Rank src, topo::Rank dst,
-                       const net::FaultPlan* faults,
-                       net::FaultPlan::RouteMemo* memo = nullptr) const;
+                       const net::FaultPlan* faults) const;
 
   /// Whether this schedule carries (src, dst) under `faults`: the pair is in
   /// `covered` and, under faults, the form's relay or path rule serves it.
   bool pair_covered(topo::Rank src, topo::Rank dst,
-                    const net::FaultPlan* faults,
-                    net::FaultPlan::RouteMemo* memo = nullptr) const;
+                    const net::FaultPlan* faults) const;
 
   /// Enumerates every logical transfer in deterministic id order (lint and
   /// dump view; O(P * positions) for ordered streams — do not call on the
@@ -248,8 +243,7 @@ struct CommSchedule {
                      std::vector<topo::Rank>& out) const;
 
  private:
-  bool leg_ok(topo::Rank from, topo::Rank to, const net::FaultPlan* faults,
-              net::FaultPlan::RouteMemo* memo) const;
+  bool leg_ok(topo::Rank from, topo::Rank to, const net::FaultPlan* faults) const;
 };
 
 /// One unit of relay custody stranded at a fail-stopped node: payload a dead

@@ -82,13 +82,12 @@ BenchContext BenchContext::from_cli(util::Cli& cli,
   BenchContext ctx;
   try {
     ctx.full = cli.get_bool("full", false);
-    ctx.node_budget = cli.get_int("budget", kDefaultNodeBudget);
+    // Node counts fit int32 (parse_shape rejects larger shapes).
+    ctx.node_budget = cli.get_int("budget", kDefaultNodeBudget, 1, INT32_MAX);
     ctx.sweep.base_seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-    ctx.sweep.jobs = static_cast<int>(cli.get_int("jobs", 0));
-    if (cli.has("jobs") && ctx.sweep.jobs < 1) {
-      throw std::runtime_error(
-          "option --jobs: must be >= 1 (omit the flag for one worker per "
-          "hardware thread)");
+    // 0 (the flag omitted) means one worker per hardware thread.
+    if (cli.has("jobs")) {
+      ctx.sweep.jobs = static_cast<int>(cli.get_int("jobs", 0, 1, INT32_MAX));
     }
     ctx.sim_threads = static_cast<int>(cli.get_int("sim-threads", 1, 1, INT32_MAX));
     ctx.sweep.repeats = static_cast<int>(cli.get_int("repeats", 1, 1, INT32_MAX));
@@ -134,6 +133,7 @@ BenchContext BenchContext::from_cli(util::Cli& cli,
             "cannot merge byte-identically");
       }
       check_path(ctx.resume_path, "resume", "rb");
+      check_resume_columns(load_resume_log(ctx.resume_path));
     }
   } catch (const std::exception& error) {
     cli.fail(error.what());

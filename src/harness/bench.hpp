@@ -56,7 +56,8 @@ struct BenchContext {
   /// cli.validate(). Prints a clear error to stderr and exits with status 2
   /// on invalid values (--jobs 0, --repeats 0, malformed --shard or
   /// --faults, non-numeric values) and on a --csv/--json path it cannot
-  /// write or a --resume file it cannot read, before any sweep job runs.
+  /// write or a --resume file it cannot read or whose columns are not the
+  /// per-run result schema, before any sweep job runs.
   ///
   /// `unsupported` names the shared options (without dashes) a bench does
   /// not honor: they stay out of --help, and giving one prints

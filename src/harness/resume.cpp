@@ -191,13 +191,17 @@ ResumeLog load_resume_log(const std::string& path) {
   return json ? parse_result_json(text) : parse_result_csv(text);
 }
 
-ResumePlan plan_resume(const ResumeLog& log, const Sweep& sweep,
-                       const SweepOptions& options) {
+void check_resume_columns(const ResumeLog& log) {
   if (log.columns != result_columns(false)) {
     throw std::runtime_error(
         "resume: input columns do not match the per-run result schema "
         "(aggregated --repeats and --host-timing outputs cannot be resumed)");
   }
+}
+
+ResumePlan plan_resume(const ResumeLog& log, const Sweep& sweep,
+                       const SweepOptions& options) {
+  check_resume_columns(log);
   const std::size_t label_col = column_index(log.columns, "label");
   const std::size_t repeat_col = column_index(log.columns, "repeat");
   const std::size_t seed_col = column_index(log.columns, "seed");

@@ -46,6 +46,10 @@ ResumeLog parse_result_json(const std::string& text);
 /// else → CSV). Throws std::runtime_error on unreadable files.
 ResumeLog load_resume_log(const std::string& path);
 
+/// Throws std::runtime_error when `log`'s columns are not the per-run
+/// result schema (result_columns()), the only one a sweep can resume from.
+void check_resume_columns(const ResumeLog& log);
+
 /// Which (point, repeat) slots of a sweep can be skipped, and the original
 /// cells to splice into the merged output for each skipped slot.
 struct ResumePlan {
@@ -58,8 +62,7 @@ struct ResumePlan {
 
 /// Matches `log` against the sweep's slots by (label, repeat, seed) — the
 /// seed each slot would use under `options`. Only drained rows are reused.
-/// Throws std::runtime_error when the log's columns are not the per-run
-/// schema (result_columns()).
+/// Throws like check_resume_columns on a log of another schema.
 ResumePlan plan_resume(const ResumeLog& log, const Sweep& sweep,
                        const SweepOptions& options);
 

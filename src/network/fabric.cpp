@@ -511,10 +511,7 @@ void Fabric::merge_shard_stats() {
   events_ = events;
   if (faults_active_) {
     fault_stats_ = ftotal;
-    if (struck && !struck_) {
-      struck_ = true;  // post-run queries see the struck state
-      fault_plan_.invalidate_routes();
-    }
+    if (struck) struck_ = true;  // post-run queries see the struck state
   }
 }
 
@@ -634,7 +631,7 @@ void Fabric::pump_cpu(Rank node) {
 
 bool Fabric::try_inject(Rank node, const InjectDesc& desc) {
   if (faults_active_ && struck_now() &&
-      !fault_plan_.pair_routable(node, desc.dst, desc.mode, live_route_memo())) {
+      !fault_plan_.pair_routable(node, desc.dst, desc.mode)) {
     // No live minimal path can ever deliver this packet. Consume the
     // descriptor (the core still pays its injection cost) and count it,
     // rather than letting an undeliverable packet wedge a FIFO forever.
@@ -661,8 +658,7 @@ bool Fabric::try_inject(Rank node, const InjectDesc& desc) {
     // Same tie-coin draw as below, but steered away from tie resolutions
     // whose minimal DAG is severed by permanent faults.
     packet.hops = fault_plan_.choose_hops(node, desc.dst, desc.mode,
-                                          [this] { return live_rng().coin(); },
-                                          live_route_memo());
+                                          [this] { return live_rng().coin(); });
   } else {
     const topo::Coord from = torus_.coord_of(node);
     const topo::Coord to = torus_.coord_of(desc.dst);
@@ -1069,7 +1065,6 @@ void Fabric::on_fault_event(std::uint32_t a, std::uint64_t b) {
     // die and fail-stopped cores halt (their queued descriptors die with
     // them; in-flight relay custody is what stranded_relay_bytes accounts).
     shard.struck = true;
-    shard.route_memo.clear();
     for (std::size_t l = 0; l < link_peer_.size(); ++l) {
       if (!fault_plan_.link_dead(static_cast<int>(l))) continue;
       if (node_slab_[static_cast<std::size_t>(static_cast<Rank>(l) / dirs_)] == shard.id) {
@@ -1144,7 +1139,7 @@ bool Fabric::continuation_live(const Packet& head, Rank peer, int dir) const {
   const int axis = axis_of(dir);
   hops[static_cast<std::size_t>(axis)] = static_cast<std::int16_t>(
       hops[static_cast<std::size_t>(axis)] - sign_of(dir));
-  return fault_plan_.route_live(peer, hops, head.mode, live_route_memo());
+  return fault_plan_.route_live(peer, hops, head.mode);
 }
 
 void Fabric::return_buffer_credit(Rank node, int port, const Packet& packet) {

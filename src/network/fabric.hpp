@@ -179,23 +179,14 @@ class Fabric {
   /// event), so a handler never reads a neighbor's toggle mid-window.
   bool perm_faults_struck() const noexcept { return struck_now(); }
 
-  /// Thread-safe routability oracle for clients running inside handlers:
-  /// answers against the permanent fault state *as this node currently sees
-  /// it* (always routable while the network is still blind), memoized in the
-  /// executing slab's private memo. Clients must use this instead
-  /// of fault_plan().pair_routable() — the plan's internal memo is not
-  /// thread-safe.
+  /// Routability oracle for clients running inside handlers: answers
+  /// against the permanent fault state *as this node currently sees it*
+  /// (always routable while the network is still blind, which
+  /// fault_plan().pair_routable() does not know about). The plan's table is
+  /// shared by every slab, so any thread may ask.
   bool pair_routable_now(Rank src, Rank dst, RoutingMode mode) const {
     if (!faults_active_ || !struck_now()) return true;
-    return fault_plan_.pair_routable(src, dst, mode, live_route_memo());
-  }
-
-  /// The executing slab's private routability memo. Clients that consult the
-  /// plan's oracle directly inside handlers (the schedule executor's relay
-  /// re-picking) must pass this through so parallel slabs never share the
-  /// plan's unsynchronized cache.
-  FaultPlan::RouteMemo* route_memo_scratch() const noexcept {
-    return live_route_memo();
+    return fault_plan_.pair_routable(src, dst, mode);
   }
 
   /// Re-arms `node`'s core if idle (clients call this when new work arrives,
@@ -351,13 +342,11 @@ class Fabric {
     /// Outgoing messages, indexed by destination shard.
     std::vector<std::vector<BoundaryMsg>> outbox;
     // Shard-owned fault state: counters merged at merge_shard_stats, a
-    // private strike flag flipped by this slab's own kPermStrike event, a
-    // private routability memo (the plan's internal one is not thread-safe)
-    // and a private stuck-sweep arm flag.
+    // private strike flag flipped by this slab's own kPermStrike event and a
+    // private stuck-sweep arm flag.
     FaultStats fstats;
     bool struck = false;
     bool sweep_scheduled = false;
-    FaultPlan::RouteMemo route_memo;
     /// Hop-observer grants of the window being simulated, in (at, link)
     /// order once the slab's shard_step returns (see order_hop_log).
     std::vector<HopRecord> hop_log;
@@ -392,7 +381,6 @@ class Fabric {
   util::Xoshiro256StarStar& live_rng() noexcept { return shard_ctx_->rng; }
   FlightSlot& flight_at(std::uint32_t slot) noexcept { return shard_ctx_->flights[slot]; }
   FaultStats& live_fault_stats() noexcept { return shard_ctx_->fstats; }
-  FaultPlan::RouteMemo* live_route_memo() const noexcept { return &shard_ctx_->route_memo; }
   bool struck_now() const noexcept { return shard_ctx_->struck; }
 
   // --- slab-partitioned run ---
@@ -440,8 +428,7 @@ class Fabric {
   /// outages) into the shard wheels, once per fabric, at prime time.
   void prime_fault_events();
   /// A strike or transient outage event: the executing slab applies only its
-  /// own slice (its links' down bits, its nodes' cores, its flight arena, its
-  /// memo).
+  /// own slice (its links' down bits, its nodes' cores, its flight arena).
   void on_fault_event(std::uint32_t a, std::uint64_t b);
   /// Returns the credit `packet` reserved in buffer (node, port, packet.vc)
   /// once it leaves that buffer (granted onward or dropped) and re-arms the

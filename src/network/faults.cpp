@@ -1,8 +1,11 @@
 #include "src/network/faults.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <new>
 #include <stdexcept>
 
 #include "src/util/cli.hpp"
@@ -206,102 +209,92 @@ FaultPlan::FaultPlan(const NetworkConfig& config, const topo::Shape& shape)
             [](const TransientOutage& a, const TransientOutage& b) {
               return a.down_at != b.down_at ? a.down_at < b.down_at : a.link < b.link;
             });
-}
 
-std::uint64_t FaultPlan::RouteMemo::pack_hops(const HopVec& hops) noexcept {
-  std::uint64_t packed = 0;
-  for (std::size_t a = 0; a < hops.size(); ++a) {
-    packed |= static_cast<std::uint64_t>(static_cast<std::uint16_t>(hops[a])) << (16 * a);
+  // The routability table: a minimal path's hop on axis a lies in
+  // [-reach_a, reach_a], so hop vectors number H = prod(2 reach_a + 1).
+  hop_states_ = 1;
+  for (int axis = 0; axis < torus_.axis_count(); ++axis) {
+    const auto a = static_cast<std::size_t>(axis);
+    const int extent = torus_.shape().dim[a];
+    hop_reach_[a] = torus_.shape().wrap[a] ? extent / 2 : extent - 1;
+    hop_stride_[a] = hop_states_;
+    hop_states_ *= static_cast<std::size_t>(2 * hop_reach_[a] + 1);
   }
-  return packed;
-}
-
-std::size_t FaultPlan::RouteMemo::home(std::uint64_t hops,
-                                       std::uint32_t node_mode) const noexcept {
-  // Two multiplicative rounds, then Fibonacci hashing: the top bits of the
-  // product depend on every key bit.
-  const std::uint64_t h =
-      ((hops * 0x9e3779b97f4a7c15ULL) ^ node_mode) * 0xc2b2ae3d27d4eb4fULL;
-  return static_cast<std::size_t>(h >> shift_);
-}
-
-int FaultPlan::RouteMemo::find(topo::Rank node, RoutingMode mode,
-                               const HopVec& hops) const noexcept {
-  if (used_ == 0) return -1;
-  const std::uint64_t key_hops = pack_hops(hops);
-  const std::uint32_t key_nm = pack_node_mode(node, mode);
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t i = home(key_hops, key_nm);; i = (i + 1) & mask) {
-    const Slot& slot = slots_[i];
-    if (slot.node_mode == kEmpty) return -1;
-    if (slot.node_mode == key_nm && slot.hops == key_hops) {
-      return static_cast<int>(slot.live);
-    }
+  const std::size_t rows = 2 * static_cast<std::size_t>(torus_.nodes());  // mode x node
+  if (hop_states_ > std::numeric_limits<std::size_t>::max() / rows) {
+    throw std::length_error("FaultPlan: routability table for " +
+                            torus_.shape().to_string() + " exceeds the address space");
   }
+  routes_.reset(static_cast<std::uint64_t*>(
+                    std::calloc(rows * hop_states_ / 32 + 1, sizeof(std::uint64_t))),
+                std::free);
+  if (routes_ == nullptr) throw std::bad_alloc();
 }
 
-void FaultPlan::RouteMemo::insert(topo::Rank node, RoutingMode mode,
-                                  const HopVec& hops, bool live) {
-  // Load factor <= 1/2 keeps probe chains short and guarantees a free slot.
-  if (2 * (used_ + 1) > slots_.size()) grow();
-  place(Slot{pack_hops(hops), pack_node_mode(node, mode), live ? 1u : 0u});
-  ++used_;
-}
-
-void FaultPlan::RouteMemo::place(const Slot& slot) noexcept {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = home(slot.hops, slot.node_mode);
-  while (slots_[i].node_mode != kEmpty) i = (i + 1) & mask;
-  slots_[i] = slot;
-}
-
-void FaultPlan::RouteMemo::clear() noexcept {
-  if (used_ == 0) return;
-  std::fill(slots_.begin(), slots_.end(), Slot{});
-  used_ = 0;
-}
-
-void FaultPlan::RouteMemo::grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.empty() ? kInitialSlots : old.size() * 2, Slot{});
-  shift_ = 64 - std::countr_zero(slots_.size());
-  for (const Slot& slot : old) {
-    if (slot.node_mode != kEmpty) place(slot);
+std::size_t FaultPlan::state_index(topo::Rank node, const HopVec& hops,
+                                   RoutingMode mode) const noexcept {
+  std::size_t offset = 0;
+  for (std::size_t a = 0; a < topo::kMaxAxes; ++a) {
+    offset += static_cast<std::size_t>(hops[a] + hop_reach_[a]) * hop_stride_[a];
   }
+  const std::size_t row = static_cast<std::size_t>(mode) *
+                              static_cast<std::size_t>(torus_.nodes()) +
+                          static_cast<std::size_t>(node);
+  return row * hop_states_ + offset;
 }
 
-bool FaultPlan::route_live(topo::Rank node, const HopVec& hops, RoutingMode mode,
-                           RouteMemo* memo) const {
+bool FaultPlan::route_live(topo::Rank node, const HopVec& hops, RoutingMode mode) const {
+  if (!enabled_) return true;
+  bool in_range = node >= 0 && node < torus_.nodes();
+  for (std::size_t a = 0; a < topo::kMaxAxes; ++a) {
+    in_range = in_range && hops[a] >= -hop_reach_[a] && hops[a] <= hop_reach_[a];
+  }
+  if (!in_range) {
+    throw std::out_of_range("FaultPlan::route_live: state (node " + std::to_string(node) +
+                            ", hops " + std::to_string(hops[0]) + "," +
+                            std::to_string(hops[1]) + "," + std::to_string(hops[2]) +
+                            "," + std::to_string(hops[3]) + ") is outside shape " +
+                            torus_.shape().to_string());
+  }
+  return walk(node, hops, mode);
+}
+
+bool FaultPlan::walk(topo::Rank node, const HopVec& hops, RoutingMode mode) const {
   if (!node_alive(node)) return false;
   if (hops[0] == 0 && hops[1] == 0 && hops[2] == 0 && hops[3] == 0) return true;
 
-  RouteMemo& cache = memo != nullptr ? *memo : route_memo_;
-  if (const int cached = cache.find(node, mode, hops); cached >= 0) {
-    return cached != 0;
-  }
+  // Both bits of a state land in one fetch_or, so a reader sees either none
+  // or both; relaxed order suffices because no other data rides on them.
+  constexpr std::uint64_t kKnown = 1;
+  constexpr std::uint64_t kLive = 2;
+  const std::size_t state = state_index(node, hops, mode);
+  const std::atomic_ref<std::uint64_t> word(routes_[state / 32]);
+  const unsigned shift = 2 * static_cast<unsigned>(state % 32);
+  const std::uint64_t cached = word.load(std::memory_order_relaxed) >> shift;
+  if ((cached & kKnown) != 0) return (cached & kLive) != 0;
 
   bool live = false;
   for (int axis = 0; axis < torus_.axis_count() && !live; ++axis) {
     if (hops[static_cast<std::size_t>(axis)] == 0) continue;
     const int sign = hops[static_cast<std::size_t>(axis)] > 0 ? +1 : -1;
     const topo::Direction dir{axis, sign};
-    if (link_state_[static_cast<std::size_t>(link_id(node, dir.index()))] !=
-        static_cast<std::uint8_t>(LinkHealth::kDead)) {
+    const topo::Rank peer = torus_.neighbor(node, dir);  // -1 off a mesh edge
+    if (peer >= 0 && link_state_[static_cast<std::size_t>(link_id(node, dir.index()))] !=
+                         static_cast<std::uint8_t>(LinkHealth::kDead)) {
       auto next = hops;
       next[static_cast<std::size_t>(axis)] =
           static_cast<std::int16_t>(next[static_cast<std::size_t>(axis)] - sign);
-      live = route_live(torus_.neighbor(node, dir), next, mode, memo);
+      live = walk(peer, next, mode);
     }
     // Dimension-ordered routing has no second choice: only the first
     // unfinished axis may move.
     if (mode == RoutingMode::kDeterministic) break;
   }
-  cache.insert(node, mode, hops, live);
+  word.fetch_or((kKnown | (live ? kLive : 0)) << shift, std::memory_order_relaxed);
   return live;
 }
 
-bool FaultPlan::pair_routable(topo::Rank src, topo::Rank dst, RoutingMode mode,
-                              RouteMemo* memo) const {
+bool FaultPlan::pair_routable(topo::Rank src, topo::Rank dst, RoutingMode mode) const {
   if (!enabled_) return true;
   if (!node_alive(src) || !node_alive(dst)) return false;
   if (src == dst) return true;
@@ -332,14 +325,13 @@ bool FaultPlan::pair_routable(topo::Rank src, topo::Rank dst, RoutingMode mode,
             static_cast<std::int16_t>(-trial[static_cast<std::size_t>(axis)]);
       }
     }
-    if (valid && route_live(src, trial, mode, memo)) return true;
+    if (valid && walk(src, trial, mode)) return true;
   }
   return false;
 }
 
 HopVec FaultPlan::choose_hops(topo::Rank src, topo::Rank dst, RoutingMode mode,
-                              const std::function<bool()>& coin,
-                              RouteMemo* memo) const {
+                              const std::function<bool()>& coin) const {
   const topo::Coord a = torus_.coord_of(src);
   const topo::Coord b = torus_.coord_of(dst);
   const int axes = torus_.axis_count();
@@ -364,7 +356,7 @@ HopVec FaultPlan::choose_hops(topo::Rank src, topo::Rank dst, RoutingMode mode,
           static_cast<std::int16_t>(-preferred[static_cast<std::size_t>(axis)]);
     }
   }
-  if (!enabled_ || route_live(src, preferred, mode, memo)) return preferred;
+  if (!enabled_ || walk(src, preferred, mode)) return preferred;
   for (int combo = 0; combo < (1 << axes); ++combo) {
     auto trial = hops;
     bool valid = true;
@@ -379,7 +371,7 @@ HopVec FaultPlan::choose_hops(topo::Rank src, topo::Rank dst, RoutingMode mode,
             static_cast<std::int16_t>(-trial[static_cast<std::size_t>(axis)]);
       }
     }
-    if (valid && route_live(src, trial, mode, memo)) return trial;
+    if (valid && walk(src, trial, mode)) return trial;
   }
   // No live resolution: return the coin draw; callers gate on pair_routable.
   return preferred;

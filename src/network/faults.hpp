@@ -22,6 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -87,49 +88,6 @@ struct TransientOutage {
 
 class FaultPlan {
  public:
-  /// Routability memo: a flat open-addressed table keyed exactly by
-  /// (node, mode, hop vector). The key packs into two words — the four
-  /// int16 hops into one uint64 and (node << 1 | mode) into a uint32 — so
-  /// a lookup is one multiplicative hash and a linear probe over 16-byte
-  /// slots that hold the answer inline. Capacity is a power of two, grows
-  /// lazily (nothing is allocated until the first insert) and survives
-  /// clear(). Answers never depend on the table's layout: the oracle is a
-  /// pure function of immutable plan state, so per-shard memos answer
-  /// identically. The plan keeps an internal one for single-threaded
-  /// callers; parallel workers pass their own shard-owned memo instead.
-  class RouteMemo {
-   public:
-    /// The memoized answer: 1 live, 0 severed, -1 not cached.
-    int find(topo::Rank node, RoutingMode mode, const HopVec& hops) const noexcept;
-    /// Caches an answer for a key that find() reported missing.
-    void insert(topo::Rank node, RoutingMode mode, const HopVec& hops, bool live);
-    /// Forgets every answer and keeps the capacity.
-    void clear() noexcept;
-
-   private:
-    // node_mode == kEmpty marks a free slot. Ranks fit int32 (the fabric
-    // rejects larger shapes), so (rank << 1 | mode) never reaches it.
-    static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
-    static constexpr std::size_t kInitialSlots = 256;
-    struct Slot {
-      std::uint64_t hops = 0;
-      std::uint32_t node_mode = kEmpty;
-      std::uint32_t live = 0;
-    };
-    static std::uint64_t pack_hops(const HopVec& hops) noexcept;
-    static std::uint32_t pack_node_mode(topo::Rank node, RoutingMode mode) noexcept {
-      return (static_cast<std::uint32_t>(node) << 1) | static_cast<std::uint32_t>(mode);
-    }
-    std::size_t home(std::uint64_t hops, std::uint32_t node_mode) const noexcept;
-    /// Stores `slot` at the first free slot of its probe chain.
-    void place(const Slot& slot) noexcept;
-    void grow();
-
-    std::vector<Slot> slots_;
-    std::size_t used_ = 0;
-    int shift_ = 64;  // 64 - log2(capacity): home() keeps the hash's top bits
-  };
-
   FaultPlan() = default;
 
   /// Expands `config.faults` over `shape`. A disabled config yields an
@@ -170,28 +128,32 @@ class FaultPlan {
   /// True when a packet at `node` with remaining signed hops `hops` can
   /// still reach its destination over live links and nodes under `mode`
   /// (adaptive: any live path in the minimal DAG; deterministic: the single
-  /// dimension-order path). Memoized in `memo` when given, else in the
-  /// plan's internal (not thread-safe) memo; call only on plans with faults.
-  bool route_live(topo::Rank node, const HopVec& hops, RoutingMode mode,
-                  RouteMemo* memo = nullptr) const;
+  /// dimension-order path; a hop off a mesh edge leads nowhere). Always
+  /// true on a disabled plan. Every answer is cached in the plan's
+  /// routability table, so this and the two queries below are safe to call
+  /// from any number of threads at once. Throws std::out_of_range when
+  /// `node` is not a rank of the shape or a hop exceeds a minimal path's
+  /// reach on its axis (floor(k/2) on a torus axis, k - 1 on a mesh axis).
+  bool route_live(topo::Rank node, const HopVec& hops, RoutingMode mode) const;
 
   /// True when (src, dst) is deliverable under `mode`: both endpoints are
   /// alive and some choice of half-way tie directions yields a live minimal
   /// path. Always true on a disabled plan (src != dst assumed).
-  bool pair_routable(topo::Rank src, topo::Rank dst, RoutingMode mode,
-                     RouteMemo* memo = nullptr) const;
+  bool pair_routable(topo::Rank src, topo::Rank dst, RoutingMode mode) const;
 
   /// Signed hop vector for (src, dst) with half-way ties resolved toward a
   /// live route when possible; ambiguous live ties are broken with `coin`.
   HopVec choose_hops(topo::Rank src, topo::Rank dst, RoutingMode mode,
-                     const std::function<bool()>& coin,
-                     RouteMemo* memo = nullptr) const;
-
-  /// Forget memoized routability (call after a permanent fault epoch
-  /// change, i.e. when fail_at > 0 strikes).
-  void invalidate_routes() const { route_memo_.clear(); }
+                     const std::function<bool()>& coin) const;
 
  private:
+  /// route_live without the range check: the recursion over the minimal
+  /// DAG only ever shrinks a hop toward zero, so it stays in range.
+  bool walk(topo::Rank node, const HopVec& hops, RoutingMode mode) const;
+  /// The table index of state (mode, node, hops).
+  std::size_t state_index(topo::Rank node, const HopVec& hops,
+                          RoutingMode mode) const noexcept;
+
   bool enabled_ = false;
   FaultConfig faults_{};
   std::uint64_t derived_seed_ = 0;
@@ -203,7 +165,18 @@ class FaultPlan {
   std::size_t degraded_links_ = 0;
   std::size_t dead_nodes_ = 0;
 
-  mutable RouteMemo route_memo_;
+  // Routability table of an enabled plan: 2 bits (known, live) per state
+  // (mode, node, hop vector) at index (mode * P + node) * H + the hop
+  // offset, where the hop offset sums (hop_a + reach_a) * stride_a and H is
+  // the number of hop vectors. calloc'ed, not initialised element-wise, so
+  // a large table's pages stay untouched until a state on them is queried
+  // (and a disabled plan allocates none). Answers are a pure function
+  // of the immutable link and node state, so every thread and every copy of
+  // the plan shares one table and fill order never changes an answer.
+  std::shared_ptr<std::uint64_t[]> routes_;
+  std::array<std::int32_t, topo::kMaxAxes> hop_reach_{};
+  std::array<std::size_t, topo::kMaxAxes> hop_stride_{};
+  std::size_t hop_states_ = 0;  // H
 };
 
 }  // namespace bgl::net

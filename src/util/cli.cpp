@@ -116,6 +116,19 @@ std::vector<std::int64_t> Cli::get_int_list(const std::string& name,
   return parse_or_fail(*this, [&] { return parse_int_list(text, "option --" + name); });
 }
 
+std::vector<std::int64_t> Cli::get_int_list(const std::string& name,
+                                            const std::string& fallback,
+                                            std::int64_t lo, std::int64_t hi) const {
+  std::vector<std::int64_t> values = get_int_list(name, fallback);
+  for (const std::int64_t value : values) {
+    if (value < lo || value > hi) {
+      fail("option --" + name + ": entries must be in [" + std::to_string(lo) + ", " +
+           std::to_string(hi) + "], got " + std::to_string(value));
+    }
+  }
+  return values;
+}
+
 void Cli::describe(const std::string& name, const std::string& help) {
   described_.emplace_back(name, help);
 }

@@ -36,6 +36,12 @@ class Cli {
   /// option is absent; a malformed entry is a usage error.
   std::vector<std::int64_t> get_int_list(const std::string& name,
                                          const std::string& fallback) const;
+  /// get_int_list with every entry limited to [lo, hi]: an entry outside the
+  /// range is a usage error naming the option ("--sizes 8,-8" exits 2; it
+  /// does not wrap to 2^64 - 8 when the caller casts it to uint64).
+  std::vector<std::int64_t> get_int_list(const std::string& name,
+                                         const std::string& fallback,
+                                         std::int64_t lo, std::int64_t hi) const;
 
   /// Positional (non-option) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }

@@ -130,6 +130,21 @@ TEST(Cli, IntListValues) {
               "prog: error: option --sizes: expected an integer, got 'x'");
 }
 
+// "--sizes 8,-8" once ran a 2^64 - 8 byte point after the cast to uint64.
+TEST(Cli, BoundedIntListValues) {
+  EXPECT_EQ(make({"--sizes", "0,4096"}).get_int_list("sizes", "1", 0, 4096),
+            (std::vector<std::int64_t>{0, 4096}));
+  EXPECT_EQ(make({}).get_int_list("sizes", "8,64", 0, 4096),
+            (std::vector<std::int64_t>{8, 64}));
+  EXPECT_EXIT((void)make({"--sizes", "8,-8"}).get_int_list("sizes", "1", 0, 4096),
+              ::testing::ExitedWithCode(2),
+              "prog: error: option --sizes: entries must be in \\[0, 4096\\], got -8");
+  EXPECT_EXIT((void)make({"--sizes", "4097"}).get_int_list("sizes", "1", 0, 4096),
+              ::testing::ExitedWithCode(2), "option --sizes: entries must be in .*, got 4097");
+  EXPECT_EXIT((void)make({"--sizes", "8,x"}).get_int_list("sizes", "1", 0, 4096),
+              ::testing::ExitedWithCode(2), "option --sizes: expected an integer");
+}
+
 TEST(ParseIntList, RejectsJunkEntries) {
   EXPECT_THROW(parse_int_list("8,64x,512"), std::runtime_error);
   EXPECT_THROW(parse_int_list("abc"), std::runtime_error);

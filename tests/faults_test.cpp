@@ -5,9 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdlib>
+#include <numeric>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/topology/torus.hpp"
 
@@ -100,9 +108,10 @@ TEST(ParseFaultSpec, ErrorMessagesNameTheOption) {
 
 // --- FaultPlan expansion ---------------------------------------------------
 
-NetworkConfig config_for(const std::string& spec, std::uint64_t seed = 1) {
+NetworkConfig config_for(const std::string& spec, std::uint64_t seed = 1,
+                         const std::string& shape = "4x4x4") {
   NetworkConfig net;
-  net.shape = topo::parse_shape("4x4x4");
+  net.shape = topo::parse_shape(shape);
   net.seed = seed;
   net.faults = parse_fault_spec(spec);
   return net;
@@ -230,48 +239,222 @@ TEST(FaultPlan, RoutabilityIsStableAcrossCalls) {
     for (topo::Rank d = 56; d < net.shape.nodes(); ++d) {
       if (s == d) continue;
       const bool first = plan.pair_routable(s, d, RoutingMode::kAdaptive);
-      plan.invalidate_routes();
       EXPECT_EQ(plan.pair_routable(s, d, RoutingMode::kAdaptive), first);
     }
   }
 }
 
-TEST(FaultPlan, RouteMemoKeysAreExactAcrossGrowthAndClear) {
-  // Keys that differ only in mode, in the sign of one hop, or in which axis
-  // holds a hop must never alias, before and after the table grows, and
-  // clear() must forget every answer.
-  FaultPlan::RouteMemo memo;
-  const auto answer = [](topo::Rank node, int mode, int h) {
-    return ((node * 7 + mode * 3 + h) % 5) < 2;
-  };
-  const auto hops_for = [](int h) {
-    return HopVec{static_cast<std::int16_t>(h), static_cast<std::int16_t>(-h),
-                  static_cast<std::int16_t>(h % 3), static_cast<std::int16_t>(-(h % 4))};
-  };
-  for (topo::Rank node = 0; node < 40; ++node) {
-    for (int mode = 0; mode < 2; ++mode) {
-      for (int h = -20; h <= 20; ++h) {
-        const auto m = static_cast<RoutingMode>(mode);
-        ASSERT_EQ(memo.find(node, m, hops_for(h)), -1);
-        memo.insert(node, m, hops_for(h), answer(node, mode, h));
+// --- routability against an uncached reference ------------------------------
+
+constexpr std::array<RoutingMode, 2> kModes{RoutingMode::kAdaptive,
+                                            RoutingMode::kDeterministic};
+
+/// Uncached reference for route_live: floods the box of minimal-path
+/// positions (hops taken per axis) from `node`, fresh for every query. A
+/// step adds one to a single axis, so ascending position index is a
+/// topological order of the minimal DAG.
+bool reference_live(const FaultPlan& plan, topo::Rank node, const HopVec& hops,
+                    RoutingMode mode) {
+  const topo::Torus& torus = plan.torus();
+  const int axes = torus.axis_count();
+  std::array<std::size_t, topo::kMaxAxes> stride{};
+  std::size_t cells = 1;
+  for (int a = 0; a < axes; ++a) {
+    stride[static_cast<std::size_t>(a)] = cells;
+    cells *= static_cast<std::size_t>(std::abs(hops[static_cast<std::size_t>(a)]) + 1);
+  }
+  std::vector<topo::Rank> at(cells, -1);  // node reached at each position
+  if (plan.node_alive(node)) at[0] = node;
+  for (std::size_t cell = 0; cell + 1 < cells; ++cell) {
+    if (at[cell] < 0) continue;
+    for (int a = 0; a < axes; ++a) {
+      const auto ax = static_cast<std::size_t>(a);
+      const int len = std::abs(hops[ax]);
+      if (static_cast<int>(cell / stride[ax] % static_cast<std::size_t>(len + 1)) == len) {
+        continue;  // axis finished
+      }
+      const topo::Direction dir{a, hops[ax] > 0 ? +1 : -1};
+      const topo::Rank peer = torus.neighbor(at[cell], dir);
+      if (peer >= 0 && !plan.link_dead(plan.link_id(at[cell], dir.index())) &&
+          plan.node_alive(peer)) {
+        at[cell + stride[ax]] = peer;
+      }
+      // Dimension order: only the first unfinished axis may move.
+      if (mode == RoutingMode::kDeterministic) break;
+    }
+  }
+  return at[cells - 1] >= 0;
+}
+
+/// Uncached reference for pair_routable: any tie resolution with a live
+/// minimal path between two live endpoints.
+bool reference_pair(const FaultPlan& plan, topo::Rank src, topo::Rank dst,
+                    RoutingMode mode) {
+  if (!plan.node_alive(src) || !plan.node_alive(dst)) return false;
+  const topo::Torus& torus = plan.torus();
+  const topo::Coord a = torus.coord_of(src);
+  const topo::Coord b = torus.coord_of(dst);
+  const int axes = torus.axis_count();
+  for (int combo = 0; combo < (1 << axes); ++combo) {
+    HopVec hops{};
+    bool valid = true;
+    for (int axis = 0; axis < axes; ++axis) {
+      int h = torus.hops_signed(a[axis], b[axis], axis);
+      if ((combo >> axis) & 1) {
+        valid = valid && torus.is_halfway_tie(a[axis], b[axis], axis);
+        h = -h;
+      }
+      hops[static_cast<std::size_t>(axis)] = static_cast<std::int16_t>(h);
+    }
+    if (valid && reference_live(plan, src, hops, mode)) return true;
+  }
+  return false;
+}
+
+/// Every hop vector a minimal path can hold on `torus`: per axis
+/// [-floor(k/2), floor(k/2)] on a torus, [-(k-1), k-1] on a mesh. On a mesh
+/// axis some of them step off the edge from some nodes: no path.
+std::vector<HopVec> all_hop_vectors(const topo::Torus& torus) {
+  std::vector<HopVec> out{HopVec{}};
+  for (int a = 0; a < torus.axis_count(); ++a) {
+    const auto ax = static_cast<std::size_t>(a);
+    const int k = torus.shape().dim[ax];
+    const int reach = torus.shape().wrap[ax] ? k / 2 : k - 1;
+    std::vector<HopVec> next;
+    for (const HopVec& base : out) {
+      for (int h = -reach; h <= reach; ++h) {
+        HopVec v = base;
+        v[ax] = static_cast<std::int16_t>(h);
+        next.push_back(v);
+      }
+    }
+    out = std::move(next);
+  }
+  return out;
+}
+
+/// One routability state (node, hop vector, mode).
+struct RouteState {
+  topo::Rank node;
+  HopVec hops;
+  RoutingMode mode;
+};
+
+std::vector<RouteState> all_states(const topo::Torus& torus) {
+  std::vector<RouteState> out;
+  const std::vector<HopVec> hop_vectors = all_hop_vectors(torus);
+  for (const RoutingMode mode : kModes) {
+    for (topo::Rank node = 0; node < torus.nodes(); ++node) {
+      for (const HopVec& hops : hop_vectors) out.push_back({node, hops, mode});
+    }
+  }
+  return out;
+}
+
+class FaultPlanReference : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(FaultPlanReference, EveryStateAndPairMatchesTheUncachedWalk) {
+  // Dead links plus one dead node; the seed is fixed per shape so the
+  // severed states below are the same on every run.
+  const NetworkConfig net = config_for("link:0.06,node:1,seed:3", 1, GetParam());
+  const FaultPlan plan(net, net.shape);
+  ASSERT_GT(plan.dead_link_count(), 0u);
+  ASSERT_EQ(plan.dead_node_count(), 1u);
+  const topo::Torus& torus = plan.torus();
+
+  std::size_t live = 0;
+  std::size_t severed = 0;
+  for (const RouteState& st : all_states(torus)) {
+    const bool want = reference_live(plan, st.node, st.hops, st.mode);
+    ASSERT_EQ(plan.route_live(st.node, st.hops, st.mode), want)
+        << "node " << st.node << " hops " << st.hops[0] << "," << st.hops[1] << ","
+        << st.hops[2] << "," << st.hops[3] << " mode " << static_cast<int>(st.mode);
+    ++(want ? live : severed);
+  }
+  EXPECT_GT(live, 0u);
+  EXPECT_GT(severed, 0u);  // the faults must sever something to be a test
+
+  for (const RoutingMode mode : kModes) {
+    for (topo::Rank s = 0; s < torus.nodes(); ++s) {
+      for (topo::Rank d = 0; d < torus.nodes(); ++d) {
+        if (s == d) continue;
+        ASSERT_EQ(plan.pair_routable(s, d, mode), reference_pair(plan, s, d, mode))
+            << "pair " << s << "->" << d << " mode " << static_cast<int>(mode);
       }
     }
   }
-  for (topo::Rank node = 0; node < 40; ++node) {
-    for (int mode = 0; mode < 2; ++mode) {
-      for (int h = -20; h <= 20; ++h) {
-        EXPECT_EQ(memo.find(node, static_cast<RoutingMode>(mode), hops_for(h)),
-                  answer(node, mode, h) ? 1 : 0);
-      }
-    }
+}
+
+// 7x7x7 has no half-way ties and 8x8x8 has them on every axis; 16 is a
+// ring, 4x4Mx4 has a mesh axis and 4x4x4x4 four dimensions.
+INSTANTIATE_TEST_SUITE_P(Shapes, FaultPlanReference,
+                         ::testing::Values("7x7x7", "8x8x8", "4x4x8", "8x8", "16",
+                                           "4x4Mx4", "4x4x4x4"),
+                         [](const ::testing::TestParamInfo<const char*>& param) {
+                           std::string name = param.param;
+                           std::replace(name.begin(), name.end(), 'x', '_');
+                           return name.insert(0, 1, 's');
+                         });
+
+TEST(FaultPlan, ConcurrentQueriesInAnyOrderMatchTheReference) {
+  const NetworkConfig net = config_for("link:0.06,node:1,seed:3", 1, "7x7x7");
+  const FaultPlan plan(net, net.shape);
+  const std::vector<RouteState> states = all_states(plan.torus());
+  std::vector<char> want(states.size());
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    want[i] = reference_live(plan, states[i].node, states[i].hops, states[i].mode) ? 1 : 0;
   }
-  EXPECT_EQ(memo.find(40, RoutingMode::kAdaptive, hops_for(1)), -1);
-  EXPECT_EQ(memo.find(0, RoutingMode::kAdaptive, HopVec{0, 1, 0, 0}), -1);
-  memo.clear();
-  EXPECT_EQ(memo.find(3, RoutingMode::kDeterministic, hops_for(5)), -1);
-  memo.insert(3, RoutingMode::kDeterministic, hops_for(5), true);
-  EXPECT_EQ(memo.find(3, RoutingMode::kDeterministic, hops_for(5)), 1);
-  EXPECT_EQ(memo.find(3, RoutingMode::kAdaptive, hops_for(5)), -1);
+
+  // `plan` has answered nothing yet: four threads fill its one table at
+  // once, each walking the states in its own order.
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::size_t> order(states.size());
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      if (t == 1) std::reverse(order.begin(), order.end());
+      if (t >= 2) std::shuffle(order.begin(), order.end(), std::mt19937_64(t));
+      for (const std::size_t i : order) {
+        const RouteState& st = states[i];
+        if (plan.route_live(st.node, st.hops, st.mode) != (want[i] != 0)) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+}
+
+TEST(FaultPlan, RouteLiveRejectsStatesOutsideTheShape) {
+  const NetworkConfig net = config_for("link:0.05", 1, "7x7x7");
+  const FaultPlan plan(net, net.shape);
+  EXPECT_NO_THROW(plan.route_live(0, HopVec{3, -3, 3, 0}, RoutingMode::kAdaptive));
+  EXPECT_THROW(plan.route_live(0, HopVec{4, 0, 0, 0}, RoutingMode::kAdaptive),
+               std::out_of_range);
+  EXPECT_THROW(plan.route_live(0, HopVec{0, -4, 0, 0}, RoutingMode::kDeterministic),
+               std::out_of_range);
+  EXPECT_THROW(plan.route_live(0, HopVec{0, 0, 0, 1}, RoutingMode::kAdaptive),
+               std::out_of_range);  // a 3-D shape has no fourth axis
+  EXPECT_THROW(plan.route_live(343, HopVec{1, 0, 0, 0}, RoutingMode::kAdaptive),
+               std::out_of_range);
+  EXPECT_THROW(plan.route_live(-1, HopVec{1, 0, 0, 0}, RoutingMode::kAdaptive),
+               std::out_of_range);
+
+  // A mesh axis reaches k - 1 hops.
+  const NetworkConfig mesh = config_for("link:0.05", 1, "4x4Mx4");
+  const FaultPlan mesh_plan(mesh, mesh.shape);
+  EXPECT_NO_THROW(mesh_plan.route_live(0, HopVec{2, 3, -2, 0}, RoutingMode::kAdaptive));
+  EXPECT_THROW(mesh_plan.route_live(0, HopVec{0, 4, 0, 0}, RoutingMode::kAdaptive),
+               std::out_of_range);
+  EXPECT_THROW(mesh_plan.route_live(0, HopVec{3, 0, 0, 0}, RoutingMode::kAdaptive),
+               std::out_of_range);
+}
+
+TEST(FaultPlan, DisabledPlanRoutesEverything) {
+  const NetworkConfig net = config_for("");
+  const FaultPlan plan(net, net.shape);
+  EXPECT_TRUE(plan.route_live(0, HopVec{2, 2, 2, 0}, RoutingMode::kDeterministic));
+  EXPECT_TRUE(plan.pair_routable(0, 63, RoutingMode::kAdaptive));
 }
 
 }  // namespace

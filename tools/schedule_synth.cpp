@@ -17,6 +17,7 @@
 //
 // Exit codes: 0 = winner found and lints clean, 1 = no viable schedule
 // found within budget, 2 = usage error.
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -58,12 +59,13 @@ int run(int argc, char** argv) {
   opts.msg_bytes =
       static_cast<std::uint64_t>(cli.get_int("size", 240, 0, coll::kMaxMsgBytes));
   opts.seed = static_cast<std::uint64_t>(cli.get_int("search-seed", 1));
-  opts.beam_width = static_cast<int>(cli.get_int("beam", 4));
-  opts.generations = static_cast<int>(cli.get_int("generations", 3));
-  opts.mutations_per_survivor = static_cast<int>(cli.get_int("mutations", 4));
-  opts.sa_steps = static_cast<int>(cli.get_int("sa", 0));
-  opts.jobs = static_cast<int>(cli.get_int("jobs", 1));
-  opts.sim_threads = static_cast<int>(cli.get_int("sim-threads", 1));
+  opts.beam_width = static_cast<int>(cli.get_int("beam", 4, 1, INT32_MAX));
+  opts.generations = static_cast<int>(cli.get_int("generations", 3, 0, INT32_MAX));
+  opts.mutations_per_survivor =
+      static_cast<int>(cli.get_int("mutations", 4, 0, INT32_MAX));
+  opts.sa_steps = static_cast<int>(cli.get_int("sa", 0, 0, INT32_MAX));
+  opts.jobs = static_cast<int>(cli.get_int("jobs", 1, 1, INT32_MAX));
+  opts.sim_threads = static_cast<int>(cli.get_int("sim-threads", 1, 1, INT32_MAX));
   opts.wall_timeout_ms = cli.get_double("timeout-ms", 0.0);
 
   const std::string fault_spec = cli.get("faults", "");

@@ -36,7 +36,7 @@ inline const ObserverCase kObserverCases[] = {
 };
 
 /// The observer calls of one run: how many, and an FNV-1a hash over every
-/// call's (node, dir, target, tag, seq, hops) in call order.
+/// call's (node, dir, target, tag, hops) in call order.
 struct ObserverRecord {
   bool drained = false;
   bool reachable_complete = false;
@@ -50,7 +50,6 @@ struct ObserverRecord {
     mix(static_cast<std::uint32_t>(dir), 4);
     mix(static_cast<std::uint32_t>(target), 4);
     mix(packet.tag, 8);
-    mix(packet.seq, 4);
     for (const std::int16_t hop : packet.hops) mix(static_cast<std::uint16_t>(hop), 2);
   }
 

@@ -2,7 +2,7 @@
 // tests/observer_cases.hpp must reproduce, bit for bit, the grant count and
 // order hash stored in tests/golden/observer_replay_order.txt. The slabs
 // buffer their grants and the observer sees them in (tick, link id) order;
-// the hash covers (node, dir, target, tag, seq, hops) of every call, so a
+// the hash covers (node, dir, target, tag, hops) of every call, so a
 // replay that drops, repeats or reorders one call fails here. Regenerate
 // only for an intentional behavior change (tools/equivalence_golden
 // observer) and say so in the commit.

@@ -3,7 +3,7 @@
 //
 // For each strategy, a fraction of the undirected torus links is failed
 // permanently (plus a light probabilistic packet-drop rate, exercising the
-// end-to-end retransmission path) and the run reports
+// repair epochs) and the run reports
 //   - percent of the *healthy* Eq. 2 peak (so columns are comparable),
 //   - the fraction of ordered pairs the strategy could still serve, and
 //   - whether every reachable pair received its data exactly once.
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("\nCell: percent of healthy peak / %% of the %d ordered pairs fully\n"
               "delivered ('!' marks a run where some *reachable* pair was not served —\n"
-              "a reliability bug, not expected at these fault rates). Fault plans and\n"
+              "a repair bug, not expected at these fault rates). Fault plans and\n"
               "results are bit-deterministic for a fixed --seed at any --jobs count.\n",
               static_cast<int>(all_pairs));
   if (!all_reachable_served) {

@@ -13,10 +13,10 @@
 // re-sent from their origins.
 //
 // Table 2 turns on the corrupt:p fabric mode (payload bits flipped at
-// delivery, never dropped) and reports the throughput cost of detecting
-// and retransmitting every corruption end-to-end. Detection must be total:
-// a '!' marks a run where a corrupted payload escaped the checksum or some
-// reachable pair went unserved — both are bugs, not tuning.
+// delivery, never dropped) and reports the throughput cost of rejecting
+// every corruption end to end and re-sending it in repair epochs. Detection
+// must be total: a '!' marks a run where a corrupted payload escaped the
+// checksum or some reachable pair went unserved — both are bugs, not tuning.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
@@ -125,8 +125,8 @@ int main(int argc, char** argv) {
       const bool ok = r.run.reachable_complete &&
                       r.run.reliability.corrupt_rejected == r.run.faults.corrupted_payloads;
       row.push_back(util::fmt(r.run.percent_peak, 1) + "% / " +
-                    std::to_string(r.run.epochs.corruption_retransmits) + " rtx" +
-                    (ok ? "" : " !"));
+                    std::to_string(r.run.reliability.corrupt_rejected) + " rej / " +
+                    std::to_string(r.run.epochs.replans) + "ep" + (ok ? "" : " !"));
       if (!ok) all_recovered = false;
     }
     ctable.add_row(std::move(row));
@@ -135,9 +135,10 @@ int main(int argc, char** argv) {
 
   std::printf("\nTable 1 cell: struck-run percent of the healthy Eq. 2 peak (re-plan\n"
               "cycles included) / repair epochs / payload the repair epochs re-sourced.\n"
-              "Table 2 cell: percent of peak / corrupted payloads detected and\n"
-              "retransmitted. '!' marks a run that left a reachable pair unserved,\n"
-              "stranded relay bytes undrained, or a corruption undetected — all bugs.\n"
+              "Table 2 cell: percent of peak / corrupted payloads the checksum\n"
+              "rejected / repair epochs that re-sent them. '!' marks a run that\n"
+              "left a reachable pair unserved, stranded relay bytes undrained, or a\n"
+              "corruption undetected — all bugs.\n"
               "Runs are bit-deterministic for a fixed --seed at any --jobs count.\n");
   if (!all_recovered) {
     std::printf("FAILED: at least one run failed recovery or detection.\n");

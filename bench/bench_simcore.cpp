@@ -4,8 +4,8 @@
 //
 // Three variants exercise the engine's hot paths:
 //   clean     fault-free AR all-to-all (the historical bench point)
-//   faulted   dead links + probabilistic drops + corruption, with the
-//             reliability wrapper interposed
+//   faulted   dead links + probabilistic drops + corruption, repaired by
+//             repair epochs
 //   observer  fault-free with a hop observer attached (inline on one slab;
 //             with several, per-slab ordered logs replayed during the next
 //             window)
@@ -87,7 +87,11 @@ std::vector<BaselinePoint> load_baseline(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace bgl;
   util::Cli cli(argc, argv);
-  auto ctx = bench::BenchContext::from_cli(cli);
+  // The variants run one by one, outside the sweep machinery, on their own
+  // fault specs: the shared sweep, sink and fault options do not apply.
+  auto ctx = bench::BenchContext::from_cli(
+      cli, {"full", "budget", "jobs", "shard", "repeats", "progress", "csv", "json",
+            "host-timing", "timeout", "resume", "faults"});
   cli.describe("shape", "partition (default 8x8x8; the paper-scale point is 32x32x20)");
   cli.describe("bytes", "payload per destination (default 240)");
   cli.describe("out", "perf artifact path (default BENCH_simcore.json)");

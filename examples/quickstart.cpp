@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
     const std::string recovery = bgl::trace::summarize_recovery(
         result.epochs.epochs, result.epochs.replans, result.epochs.replan_cycles,
         result.epochs.residual_pairs, result.epochs.recovered_bytes,
-        result.epochs.corruption_retransmits);
+        result.abandoned_pairs);
     if (!recovery.empty()) std::printf("%s\n", recovery.c_str());
     std::printf("delivery        %llu/%llu pairs complete, %llu unreachable%s\n",
                 static_cast<unsigned long long>(result.pairs_complete),

@@ -51,27 +51,19 @@ net::NetworkConfig effective_net(const AlltoallOptions& options) {
   return net;
 }
 
-// Back half of run_planned: the reliability wrapper, the fabric run and the
-// RunResult bookkeeping.
-RunResult finish_run(const net::NetworkConfig& net, ScheduleExecutor& client,
-                     const AlltoallOptions& options, const net::FaultPlan& plan,
-                     const net::FaultPlan* faults, DeliveryMatrix* matrix,
-                     const std::string& label) {
-  // Under faults the strategy is wrapped in the end-to-end reliability
-  // layer; the fabric then pulls from (and delivers to) the wrapper.
-  std::optional<rt::ReliableClient> reliable;
-  if (faults != nullptr) reliable.emplace(net, client);
-  net::Client& top = reliable.has_value() ? static_cast<net::Client&>(*reliable)
-                                          : static_cast<net::Client&>(client);
-
-  net::Fabric fabric(net, top);
+// One fabric run of `client` as epoch `epoch` of the collective under
+// `plan` (see Fabric's constructor) and its RunResult bookkeeping; rates and
+// verification are filled in by run_planned once the last epoch has run.
+RunResult run_epoch(const net::NetworkConfig& net, ScheduleExecutor& client,
+                    const AlltoallOptions& options, const net::FaultPlan& plan,
+                    int epoch, const std::string& label) {
+  net::Fabric fabric(net, client, plan, epoch);
   client.bind(fabric);
-  if (reliable.has_value()) reliable->attach(fabric);
   if (options.hop_observer) fabric.set_hop_observer(options.hop_observer);
 
-  const double peak = peak_cycles_for(net.shape, options.msg_bytes, net.chunk_cycles);
   // Generous watchdog: a healthy run finishes within a few peak times plus
   // the CPU-bound startup term; hitting this means a stall (drained=false).
+  const double peak = peak_cycles_for(net.shape, options.msg_bytes, net.chunk_cycles);
   const Tick deadline = options.deadline != 0
                             ? options.deadline
                             : static_cast<Tick>(peak * 200.0) + (Tick{4} << 32);
@@ -90,15 +82,6 @@ RunResult finish_run(const net::NetworkConfig& net, ScheduleExecutor& client,
   result.shape = net.shape;
   result.msg_bytes = options.msg_bytes;
   result.elapsed_cycles = client.completion_cycles();
-  result.elapsed_us = static_cast<double>(result.elapsed_cycles) / 700.0;
-  result.percent_peak = result.elapsed_cycles > 0
-                            ? 100.0 * peak / static_cast<double>(result.elapsed_cycles)
-                            : 0.0;
-  const double payload_per_node =
-      static_cast<double>(net.shape.nodes() - 1) * static_cast<double>(options.msg_bytes);
-  result.per_node_mbps = result.elapsed_us > 0
-                             ? payload_per_node / result.elapsed_us  // B/us == MB/s
-                             : 0.0;
   result.packets_delivered = fabric.stats().packets_delivered;
   result.payload_bytes = fabric.stats().payload_bytes_delivered;
   result.events = fabric.events_processed();
@@ -109,27 +92,18 @@ RunResult finish_run(const net::NetworkConfig& net, ScheduleExecutor& client,
   }
   // The pairs the run owes: those the schedule carries (a pattern's pairs,
   // or all of them) that it can still serve under the fault plan.
-  if (faults != nullptr || client.schedule().covered.nodes() != 0) {
+  if (plan.enabled() || client.schedule().covered.nodes() != 0) {
     result.reachable = PairMask(static_cast<std::int32_t>(net.shape.nodes()));
     client.mark_reachable(result.reachable);
     result.unreachable_pairs = result.reachable.unreachable_pairs();
   }
-  if (faults != nullptr) {
+  if (plan.enabled()) {
     result.faults = fabric.fault_stats();
     // Relay payload stranded in the custody of fail-stopped nodes: the part
     // of the delivery shortfall the strike itself explains.
     result.faults.stranded_relay_bytes = client.stranded_relay_bytes(plan);
-    if (reliable.has_value()) {
-      result.reliability = reliable->stats();
-      result.abandoned_pairs = reliable->abandoned_pairs().size();
-      result.epochs.corruption_retransmits = result.reliability.corrupt_rejected;
-    }
-  }
-  if (matrix != nullptr) {
-    result.verified = true;
-    result.pairs_complete = matrix->complete_pairs(options.msg_bytes);
-    result.reachable_complete =
-        matrix->complete_reachable(options.msg_bytes, result.reachable);
+    result.reliability.corrupt_rejected = client.corrupt_rejected();
+    if (epoch > 0) result.reliability.retransmits = fabric.stats().packets_injected;
   }
   return result;
 }
@@ -137,52 +111,65 @@ RunResult finish_run(const net::NetworkConfig& net, ScheduleExecutor& client,
 // The one run path behind run_alltoall and run_schedule. `plan_schedule`
 // is called as plan_schedule(net, planning_faults) and returns the schedule
 // to execute and the run's label; the fault plan, the delivery matrix, the
-// executor, the fabric run and epoch recovery are shared.
+// executor, the fabric runs and the repair epochs are shared.
 template <typename PlanSchedule>
 RunResult run_planned(const AlltoallOptions& options, PlanSchedule&& plan_schedule) {
   const net::NetworkConfig net = effective_net(options);
 
-  // One plan, shared by planning (here), the Fabric (which expands its own
-  // identical copy — the expansion is a pure function of config and shape)
-  // and reachability verification.
+  // One plan per run: planning (here), the Fabric of every epoch, the
+  // residual and reachability verification all read it.
   const net::FaultPlan plan(net, net.shape);
   const net::FaultPlan* faults = plan.enabled() ? &plan : nullptr;
 
   // A delayed strike (fail_at > 0) is invisible to planning: schedules are
   // built and executed as if the network were healthy, because at plan time
   // it *is* — nobody may steer around faults that have not happened. The
-  // fabric flips perm_faults_struck() when the strike lands; the resulting
-  // shortfall is reported as reachable_complete == false plus the stranded
-  // relay-byte count, never silently planned away.
+  // fabric applies the strike when it lands; the repair epochs then serve
+  // what it cost, never silently planned away.
   const bool blind_strike = faults != nullptr && net.faults.fail_at > 0;
   const net::FaultPlan* planning_faults = blind_strike ? nullptr : faults;
   auto [schedule, label] = plan_schedule(net, planning_faults);
 
-  // Epoch recovery repairs a delayed permanent strike (dead links or nodes
-  // landing mid-run); drop/corruption-only configs are repaired inline by
-  // the reliability layer and never re-plan. It needs the per-pair ledger
-  // to compute its residual.
-  const bool recover = options.recover && blind_strike &&
-                       (plan.dead_link_count() > 0 || plan.dead_node_count() > 0);
-
   // Delivery recording: the caller's matrix, or an internal one when only
-  // the RunResult summary is wanted (or recovery may trigger).
+  // the RunResult summary is wanted. A faulted run always records: the
+  // repair epochs top up every pair it shows short.
   std::optional<DeliveryMatrix> local_matrix;
   DeliveryMatrix* matrix = options.deliveries;
-  if (matrix == nullptr && (options.verify || recover)) {
+  if (matrix == nullptr && (options.verify || faults != nullptr)) {
     local_matrix.emplace(static_cast<std::int32_t>(net.shape.nodes()));
     matrix = &*local_matrix;
   }
 
   ScheduleExecutor client(net, std::move(schedule), matrix, planning_faults);
-  RunResult result = finish_run(net, client, options, plan, faults, matrix, label);
+  RunResult result = run_epoch(net, client, options, plan, 0, label);
   // A wedged or killed epoch 0 never recovers: its ledger is mid-flight
   // garbage and re-planning from it would double-deliver.
-  if (recover && result.drained && !result.timed_out) {
+  if (faults != nullptr && result.drained && !result.timed_out) {
     std::vector<StrandedRelay> stranded;
     client.collect_stranded(plan, stranded);
     recover_epochs(result, options, net, plan, *matrix, stranded,
-                   client.schedule().covered);
+                   [&](CommSchedule repair, int epoch) {
+                     ScheduleExecutor repairer(net, std::move(repair), matrix, &plan);
+                     return run_epoch(net, repairer, options, plan, epoch, label);
+                   });
+  }
+
+  // Time and throughput cover every epoch.
+  result.elapsed_us = static_cast<double>(result.elapsed_cycles) / 700.0;
+  const double peak = peak_cycles_for(net.shape, options.msg_bytes, net.chunk_cycles);
+  result.percent_peak = result.elapsed_cycles > 0
+                            ? 100.0 * peak / static_cast<double>(result.elapsed_cycles)
+                            : 0.0;
+  const double payload_per_node =
+      static_cast<double>(net.shape.nodes() - 1) * static_cast<double>(options.msg_bytes);
+  result.per_node_mbps = result.elapsed_us > 0
+                             ? payload_per_node / result.elapsed_us  // B/us == MB/s
+                             : 0.0;
+  if (matrix != nullptr) {
+    result.verified = true;
+    result.pairs_complete = matrix->complete_pairs(options.msg_bytes);
+    result.reachable_complete =
+        matrix->complete_reachable(options.msg_bytes, result.reachable);
   }
   return result;
 }

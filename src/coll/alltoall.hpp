@@ -34,25 +34,22 @@ enum class StrategyKind {
 
 std::string strategy_name(StrategyKind kind);
 
-/// Epoch accounting of a run that crossed one or more recovery re-plans
-/// (see src/coll/recovery.hpp). A run that never re-planned reports
-/// epochs == 1 and zeros elsewhere; corruption_retransmits can be nonzero
-/// on its own under FaultConfig::corrupt_prob.
+/// Epoch accounting of a faulted run (see src/coll/recovery.hpp). A run
+/// whose epoch 0 left no reachable pair short reports epochs == 1 and zeros
+/// elsewhere.
 struct EpochStats {
   /// Execution epochs: 1 for the initial run plus one per repair schedule.
   int epochs = 1;
   /// Repair re-plan cycles executed (epochs - 1 on a recovered run).
   int replans = 0;
   /// Simulated cycles spent past the initial run: liveness agreement plus
-  /// every repair epoch's elapsed time (already folded into elapsed_cycles).
+  /// every repair epoch's elapsed time (already folded into elapsed_cycles;
+  /// the rest of elapsed_cycles is epoch 0's).
   Tick replan_cycles = 0;
-  /// Ordered pairs the first re-plan found short of msg_bytes.
+  /// Reachable ordered pairs epoch 0 left short of msg_bytes.
   std::uint64_t residual_pairs = 0;
   /// Residual bytes the repair epochs actually delivered.
   std::uint64_t recovered_bytes = 0;
-  /// Deliveries rejected by the end-to-end payload checksum, each covered
-  /// by a retransmission (== ReliabilityStats::corrupt_rejected).
-  std::uint64_t corruption_retransmits = 0;
 };
 
 /// Largest payload per destination a command line may ask for: repair
@@ -96,12 +93,13 @@ struct AlltoallOptions {
   /// kept as an int to avoid pulling vmesh.hpp into this header.
   int vmesh_mapping = 0;
 
-  /// Epoch-based recovery from a delayed permanent strike (fail_at > 0):
-  /// after the struck run quiesces, survivors agree on a liveness view,
-  /// compute the undelivered residual from the delivery matrix and execute
-  /// lint-checked repair schedules until every still-reachable pair is whole
-  /// (see src/coll/recovery.hpp). A delivery matrix is allocated internally
-  /// when recovery may trigger.
+  /// Repair epochs of a faulted run: once epoch 0 quiesces, survivors agree
+  /// on a liveness view, compute the undelivered residual from the delivery
+  /// matrix and execute lint-checked repair schedules until every reachable
+  /// pair is whole or FaultConfig::max_retries epochs have run (see
+  /// src/coll/recovery.hpp). false runs epoch 0 alone, as retries:0 does.
+  /// A faulted run always records into a delivery matrix (an internal one
+  /// when `deliveries` is null).
   bool recover = true;
 
   /// Optional per-hop observer forwarded to Fabric::set_hop_observer
@@ -170,16 +168,16 @@ struct RunResult {
   bool reachable_complete = false;
 
   // --- fault injection (all zero / empty on a healthy run) ---
-  /// Fabric-level fault counters (drops, vetoes, transient downtime).
+  /// Fabric-level fault counters (drops, vetoes, transient downtime),
+  /// summed over epochs.
   net::FaultStats faults{};
-  /// End-to-end reliability counters (retransmits, acks, duplicates).
+  /// Checksum rejections and repair-epoch packets, summed over epochs.
   rt::ReliabilityStats reliability{};
   /// Ordered pairs the run does not owe: outside a many-to-many pattern, or
   /// not servable under the fault plan.
   std::uint64_t unreachable_pairs = 0;
-  /// Distinct reachable (injector, destination) pairs with a packet
-  /// abandoned after the retry budget (0 = full delivery); a recovered run
-  /// adds each repair epoch's count.
+  /// Reachable ordered pairs still short of msg_bytes after the last repair
+  /// epoch (0 = full delivery).
   std::uint64_t abandoned_pairs = 0;
   /// The pairs the run owes: those its schedule carries (CommSchedule::
   /// covered) that it can still serve under the fault plan. nodes() == 0
@@ -196,7 +194,7 @@ struct CommSchedule;
 
 /// Run an arbitrary `CommSchedule` program (e.g. a synthesized one, or a
 /// many-to-many pattern's from build_pattern_schedule) through the same
-/// fabric / reliability / verification / recovery path as `run_alltoall`. The
+/// fabric / verification / repair path as `run_alltoall`. The
 /// schedule must target `options.net.shape` and must have been built against
 /// the same fault plan the options imply (pass the plan to the builder).
 /// `label` becomes `RunResult::strategy`. Strategy-tuning fields of `options`

@@ -6,7 +6,7 @@
 //
 // A Pattern lists each node's destinations; build_pattern_schedule compiles
 // it into an ordered-form CommSchedule that runs through run_schedule like
-// any all-to-all, with faults, reliability, recovery, lint and delivery
+// any all-to-all, with faults, repair epochs, lint and delivery
 // verification:
 //
 //   const Pattern pattern = Pattern::halo(options.net.shape);

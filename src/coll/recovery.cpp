@@ -27,16 +27,6 @@ void merge_faults(net::FaultStats& into, const net::FaultStats& from) {
   // epoch-0 custody ledger against the final delivery matrix.
 }
 
-void merge_reliability(rt::ReliabilityStats& into, const rt::ReliabilityStats& from) {
-  into.data_sequenced += from.data_sequenced;
-  into.retransmits += from.retransmits;
-  into.gave_up += from.gave_up;
-  into.acks_standalone += from.acks_standalone;
-  into.acks_piggybacked += from.acks_piggybacked;
-  into.duplicates_dropped += from.duplicates_dropped;
-  into.corrupt_rejected += from.corrupt_rejected;
-}
-
 }  // namespace
 
 LivenessView exchange_liveness(const net::NetworkConfig& net,
@@ -139,11 +129,11 @@ CommSchedule build_repair_schedule(const net::NetworkConfig& net,
 
 void recover_epochs(RunResult& result, const AlltoallOptions& options,
                     const net::NetworkConfig& net, const net::FaultPlan& plan,
-                    DeliveryMatrix& matrix,
-                    const std::vector<StrandedRelay>& stranded,
-                    const PairMask& carried) {
+                    DeliveryMatrix& matrix, const std::vector<StrandedRelay>& stranded,
+                    const RunRepairEpoch& run_epoch) {
   const std::int32_t nodes = matrix.nodes();
   const std::uint64_t msg = options.msg_bytes;
+  const PairMask carried = std::move(result.reachable);
 
   // Epoch transition, step 1: survivors discard partial flows no repair can
   // complete (an endpoint died or the pair is severed) so the exactly-once
@@ -158,72 +148,43 @@ void recover_epochs(RunResult& result, const AlltoallOptions& options,
     }
   }
 
-  // Step 2: the residual the repair epochs owe. It may be empty — every
-  // short pair lost an endpoint — and the survivors' view below still
-  // replaces epoch 0's, which was planned blind to the strike.
+  // Step 2: the residual the repair epochs owe. It may be empty — nothing
+  // was lost, or every short pair lost an endpoint — and the survivors'
+  // view below still replaces epoch 0's.
   std::vector<ResidualPair> residual = compute_residual(matrix, msg, plan, carried);
-
   const std::uint64_t owed = residual_bytes(residual);
   result.epochs.residual_pairs = residual.size();
 
   const LivenessView view = exchange_liveness(net, plan);
-  // Survivors now plan openly: the strike has landed, so repair epochs run
-  // with the same fault plan applied from tick 0 (the plan's dead sets are
-  // independent of fail_at — see FaultPlan).
-  net::NetworkConfig repair_net = net;
-  repair_net.faults.fail_at = 0;
-
+  const int max_epochs = options.recover ? net.faults.max_retries : 0;
   Tick replan_cycles = 0;
-  constexpr int kMaxReplans = 3;
-  while (!residual.empty() && result.epochs.replans < kMaxReplans) {
+  while (!residual.empty() && result.epochs.replans < max_epochs) {
     replan_cycles += view.agree_cycles;
-    CommSchedule repair = build_repair_schedule(repair_net, msg, residual);
-    const net::FaultPlan repair_plan(repair_net, repair_net.shape);
-    if (!schedule_lint(repair, &repair_plan).ok()) break;
-
-    AlltoallOptions ropts = options;
-    ropts.net = repair_net;
-    ropts.recover = false;       // this loop is the epoch driver
-    ropts.deliveries = &matrix;  // shared exactly-once ledger
-    ropts.verify = false;
-    ropts.deadline = 0;
-    const std::uint64_t before = residual_bytes(residual);
-    RunResult repaired = run_schedule(std::move(repair), ropts, "repair");
+    CommSchedule repair = build_repair_schedule(net, msg, residual);
+    if (!schedule_lint(repair, &plan).ok()) break;
 
     ++result.epochs.replans;
+    const RunResult repaired = run_epoch(std::move(repair), result.epochs.replans);
     replan_cycles += repaired.elapsed_cycles;
     result.events += repaired.events;
     result.packets_delivered += repaired.packets_delivered;
     result.payload_bytes += repaired.payload_bytes;
-    result.abandoned_pairs += repaired.abandoned_pairs;
     merge_faults(result.faults, repaired.faults);
-    merge_reliability(result.reliability, repaired.reliability);
+    result.reliability.retransmits += repaired.reliability.retransmits;
+    result.reliability.corrupt_rejected += repaired.reliability.corrupt_rejected;
     result.timed_out = result.timed_out || repaired.timed_out;
     if (!repaired.drained || repaired.timed_out) {
       result.drained = false;
       break;
     }
     residual = compute_residual(matrix, msg, plan, carried);
-    if (residual_bytes(residual) >= before) break;  // no progress: stop
   }
 
   result.epochs.epochs = 1 + result.epochs.replans;
   result.epochs.replan_cycles = replan_cycles;
   result.epochs.recovered_bytes = owed - residual_bytes(residual);
-  result.epochs.corruption_retransmits = result.reliability.corrupt_rejected;
-
-  // Time and throughput reflect the whole epoch sequence.
+  result.abandoned_pairs = residual.size();
   result.elapsed_cycles += replan_cycles;
-  result.elapsed_us = static_cast<double>(result.elapsed_cycles) / 700.0;
-  const double peak = peak_cycles_for(net.shape, msg, net.chunk_cycles);
-  result.percent_peak =
-      result.elapsed_cycles > 0
-          ? 100.0 * peak / static_cast<double>(result.elapsed_cycles)
-          : 0.0;
-  const double payload_per_node =
-      static_cast<double>(nodes - 1) * static_cast<double>(msg);
-  result.per_node_mbps =
-      result.elapsed_us > 0 ? payload_per_node / result.elapsed_us : 0.0;
 
   // Post-recovery reachability is the survivors' view of the pairs epoch 0
   // owed: a pair counts reachable when a repair can still serve it — or when
@@ -239,8 +200,6 @@ void recover_epochs(RunResult& result, const AlltoallOptions& options,
   }
   result.reachable = std::move(mask);
   result.unreachable_pairs = result.reachable.unreachable_pairs();
-  result.pairs_complete = matrix.complete_pairs(msg);
-  result.reachable_complete = matrix.complete_reachable(msg, result.reachable);
 
   // Custody the repairs failed to replace is all that stays stranded; a
   // successful recovery drains this to zero.

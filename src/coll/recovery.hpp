@@ -1,33 +1,36 @@
-// Epoch-based recovery from mid-collective fail-stop strikes.
+// Loss repair by epochs: the one way a faulted run gets lost bytes back.
 //
-// A delayed permanent strike (FaultConfig::fail_at > 0) lands while the
-// collective is in flight: planning was blind to it (see run_alltoall), so
-// when the struck run quiesces, payload is missing — abandoned by the
-// retransmission budget, stranded in dead relays' custody, or simply never
-// sent to severed destinations. This module turns that wreckage into a
-// deterministic epoch sequence:
+// A faulted run executes its schedule as is and records every delivery in
+// a DeliveryMatrix. Drops (in flight, by drop_prob, or by the stuck sweep),
+// checksum rejections, credit windows and barriers stalled by a lost packet,
+// and a mid-run strike (fail_at > 0) all leave reachable pairs short when
+// epoch 0 quiesces. This module turns that shortfall into a deterministic
+// epoch sequence:
 //
-//   epoch 0   the original (struck) run, exactly as before;
+//   epoch 0   the schedule itself, under the plan's timeline;
 //   ---       epoch transition: survivors agree on a liveness view (a
 //             modeled ring allgather per torus axis), discard partial flows
 //             no repair can complete, and compute the *residual* — every
-//             still-reachable ordered pair short of its msg_bytes;
+//             reachable ordered pair short of its msg_bytes;
 //   epoch k   a lint-checked explicit-form repair CommSchedule re-sends
 //             exactly the residual (payload overrides top up partial pairs,
-//             never duplicating delivered bytes), executed through the same
-//             fabric / reliability / verification path with the strike
-//             applied from tick 0 — survivors now plan openly around it.
+//             never duplicating delivered bytes) on a fresh fabric under the
+//             same plan, with every permanent fault struck from tick 0 and
+//             no transient outage pending.
 //
-// The loop re-plans until the residual drains (or stops shrinking, or a
-// bounded epoch budget is spent), then rewrites the RunResult: elapsed time
-// grows by the agreement + repair cycles, delivery/ fault / reliability
-// counters accumulate, reachability becomes the survivors' view, and
-// stranded_relay_bytes keeps only the custody the repairs failed to replace.
-// Everything is a pure function of (config, seed), so a recovered run is as
-// bit-reproducible as a healthy one.
+// The loop runs until the residual drains or FaultConfig::max_retries repair
+// epochs have run, then rewrites the RunResult: elapsed time grows by the
+// agreement + repair cycles, delivery / fault / repair counters
+// accumulate, reachability becomes the survivors' view, the pairs still
+// short are abandoned_pairs, and stranded_relay_bytes keeps only the custody
+// the repairs failed to replace. The fault draws key on the epoch, so a
+// repair epoch loses a different sample of packets. Everything is a pure
+// function of (config, seed), so a repaired run is as bit-reproducible as a
+// healthy one.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "src/coll/alltoall.hpp"
@@ -61,8 +64,8 @@ struct ResidualPair {
 };
 
 /// Scans the delivery matrix for recoverable pairs short of `msg_bytes`,
-/// in deterministic (src, dst) order. Pairs `carried` excludes (the epoch-0
-/// schedule's CommSchedule::covered; empty = every pair) are never owed.
+/// in deterministic (src, dst) order. Pairs `carried` excludes (those
+/// epoch 0 did not owe; empty = every pair) are never owed.
 std::vector<ResidualPair> compute_residual(const DeliveryMatrix& matrix,
                                            std::uint64_t msg_bytes,
                                            const net::FaultPlan& plan,
@@ -71,23 +74,26 @@ std::vector<ResidualPair> compute_residual(const DeliveryMatrix& matrix,
 /// Builds the explicit-form repair schedule delivering exactly `residual`:
 /// one direct adaptive send per pair (payload override = the missing bytes),
 /// coverage mask = the residual pairs and nothing else. The result lints
-/// clean under the post-strike plan whenever every residual pair is
-/// recoverable — callers still run schedule_lint before executing it.
+/// clean under the plan whenever every residual pair is recoverable —
+/// callers still run schedule_lint before executing it.
 CommSchedule build_repair_schedule(const net::NetworkConfig& net,
                                    std::uint64_t msg_bytes,
                                    const std::vector<ResidualPair>& residual);
 
+/// Runs one repair schedule as the given epoch (>= 1) and returns its
+/// result; the deliveries land in the run's matrix.
+using RunRepairEpoch = std::function<RunResult(CommSchedule repair, int epoch)>;
+
 /// Post-quiescence epoch orchestration (called by run_alltoall/run_schedule
-/// after the struck epoch-0 run): performs the epoch transition and executes
-/// repair epochs until the residual drains, rewriting `result` in place as
-/// described above. `stranded` is epoch 0's itemized dead-custodian ledger
-/// (ScheduleExecutor::collect_stranded) and `carried` the pairs its schedule
-/// carries (CommSchedule::covered): pairs outside it are neither owed nor
-/// reachable.
+/// after a drained faulted epoch 0): performs the epoch transition and runs
+/// repair epochs through `run_epoch` until the residual drains, rewriting
+/// `result` in place as described above. `result.reachable` must hold the
+/// pairs epoch 0 owed: pairs outside it are neither owed nor reachable.
+/// `stranded` is epoch 0's itemized dead-custodian ledger
+/// (ScheduleExecutor::collect_stranded).
 void recover_epochs(RunResult& result, const AlltoallOptions& options,
                     const net::NetworkConfig& net, const net::FaultPlan& plan,
-                    DeliveryMatrix& matrix,
-                    const std::vector<StrandedRelay>& stranded,
-                    const PairMask& carried);
+                    DeliveryMatrix& matrix, const std::vector<StrandedRelay>& stranded,
+                    const RunRepairEpoch& run_epoch);
 
 }  // namespace bgl::coll

@@ -123,6 +123,30 @@ std::string CommSchedule::to_json(const net::FaultPlan* faults) const {
 
 // --- ScheduleExecutor -------------------------------------------------------
 
+namespace {
+
+// End-to-end checksum over the packet identity the 8 B proto header commits
+// to: who sent which packet of what to whom. The DES carries no payload
+// bytes, so the checksum doubles as the payload's proxy — a Byzantine link
+// "flips payload bits" by XORing this field in flight (fabric.cpp), and any
+// nonzero XOR is detected by recomputation.
+std::uint32_t packet_checksum(topo::Rank src, topo::Rank dst, std::uint64_t tag,
+                              std::uint32_t payload_bytes, std::uint32_t index) {
+  std::uint64_t h = 0x42474c6373756dULL;  // "BGLcsum"
+  const auto mix = [&h](std::uint64_t v) {
+    h += v;
+    h *= 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
+  };
+  mix((std::uint64_t{static_cast<std::uint32_t>(src)} << 32) |
+      static_cast<std::uint32_t>(dst));
+  mix(tag);
+  mix((std::uint64_t{payload_bytes} << 32) | index);
+  return static_cast<std::uint32_t>(h ^ (h >> 32));
+}
+
+}  // namespace
+
 std::uint64_t ScheduleExecutor::make_tag(Kind kind, topo::Rank orig_src,
                                          topo::Rank final_dst, std::uint32_t aux) {
   return (static_cast<std::uint64_t>(kind) << 62) |
@@ -140,7 +164,11 @@ std::uint64_t ScheduleExecutor::make_combined_tag(std::uint32_t op_index) {
 ScheduleExecutor::ScheduleExecutor(const net::NetworkConfig& config,
                                    CommSchedule schedule, DeliveryMatrix* matrix,
                                    const net::FaultPlan* faults)
-    : matrix_(matrix), faults_(faults), config_(config), schedule_(std::move(schedule)) {
+    : matrix_(matrix),
+      faults_(faults),
+      checksums_(config.faults.enabled()),
+      config_(config),
+      schedule_(std::move(schedule)) {
   assert(!schedule_.phases.empty());
   assert(!schedule_.fifo_classes.empty());
 
@@ -249,9 +277,17 @@ std::uint8_t ScheduleExecutor::pick_fifo(NodeState& s, std::uint8_t fifo_class,
 }
 
 bool ScheduleExecutor::next_packet(topo::Rank node, net::InjectDesc& out) {
-  NodeState& s = nodes_[static_cast<std::size_t>(node)];
+  if (!emit(node, nodes_[static_cast<std::size_t>(node)], out)) return false;
+  if (checksums_) {
+    out.checksum = packet_checksum(node, out.dst, out.tag, out.payload_bytes, out.index);
+  }
+  return true;
+}
 
-  // 1) Credits unblock remote senders; they are tiny — send them first.
+bool ScheduleExecutor::emit(topo::Rank node, NodeState& s, net::InjectDesc& out) {
+  // 1) Credits unblock remote senders; they are tiny — send them first. A
+  // credit's index counts the node's credits, so it follows arrival order,
+  // as the credit flow itself does.
   if (!s.credit_queue.empty()) {
     const topo::Rank src = s.credit_queue.front();
     s.credit_queue.pop_front();
@@ -264,6 +300,7 @@ bool ScheduleExecutor::next_packet(topo::Rank node, net::InjectDesc& out) {
     out.mode = net::RoutingMode::kAdaptive;
     out.fifo = pick_fifo(s, phase.fifo_class, 0, 0);
     out.extra_cpu_cycles = schedule_.credits.credit_cpu_cycles;
+    out.index = s.credits_sent++;
     credit_packets_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -280,6 +317,7 @@ bool ScheduleExecutor::next_packet(topo::Rank node, net::InjectDesc& out) {
     out.mode = phase.mode;
     out.fifo = pick_fifo(s, phase.fifo_class, 0, 0);
     out.extra_cpu_cycles = phase.forward_cpu_cycles;
+    out.index = f.index;
     return true;
   }
 
@@ -366,6 +404,7 @@ bool ScheduleExecutor::emit_ordered(topo::Rank node, NodeState& s,
     out.wire_chunks = spec.wire_chunks;
     out.mode = phase.mode;
     out.fifo = pick_fifo(s, phase.fifo_class, 0, 0);
+    out.index = pkt_index;
 
     double extra =
         phase.per_packet_cycles + phase.pace_extra_per_chunk * spec.wire_chunks;
@@ -403,6 +442,7 @@ bool ScheduleExecutor::emit_explicit(topo::Rank node, NodeState& s,
   out.wire_chunks = spec.wire_chunks;
   out.mode = phase.mode;
   out.fifo = pick_fifo(s, phase.fifo_class, op.peer_index, s.pkt);
+  out.index = s.pkt;
 
   double extra =
       phase.per_packet_cycles + phase.pace_extra_per_chunk * spec.wire_chunks;
@@ -419,6 +459,14 @@ bool ScheduleExecutor::emit_explicit(topo::Rank node, NodeState& s,
 void ScheduleExecutor::on_delivery(topo::Rank node, const net::Packet& packet) {
   const auto kind = static_cast<Kind>(packet.tag >> 62);
   NodeState& s = nodes_[static_cast<std::size_t>(node)];
+  // A packet that fails the end-to-end checksum crossed a Byzantine link and
+  // nothing in it can be trusted: it is rejected before any state changes,
+  // so its bytes stay owed to the repair epochs.
+  if (checksums_ && packet.checksum != packet_checksum(packet.src, packet.dst, packet.tag,
+                                                       packet.payload_bytes, packet.index)) {
+    ++s.corrupt_rejected;
+    return;
+  }
 
   switch (kind) {
     case kFinal: {
@@ -432,7 +480,7 @@ void ScheduleExecutor::on_delivery(topo::Rank node, const net::Packet& packet) {
       const auto final_dst = static_cast<topo::Rank>(packet.tag & 0xffffffU);
       assert(final_dst != node);
       s.forwards.push_back(
-          Forward{final_dst, orig_src, packet.payload_bytes, packet.chunks});
+          Forward{final_dst, orig_src, packet.payload_bytes, packet.chunks, packet.index});
       const std::size_t backlog = s.forwards.size();
       std::size_t seen = max_forward_backlog_.load(std::memory_order_relaxed);
       while (seen < backlog && !max_forward_backlog_.compare_exchange_weak(
@@ -502,6 +550,12 @@ void ScheduleExecutor::on_timer(topo::Rank node, std::uint64_t cookie) {
   NodeState& s = nodes_[static_cast<std::size_t>(node)];
   s.barrier_open[g] = 1;
   fabric_->wake_cpu(node);
+}
+
+std::uint64_t ScheduleExecutor::corrupt_rejected() const {
+  std::uint64_t total = 0;
+  for (const NodeState& s : nodes_) total += s.corrupt_rejected;
+  return total;
 }
 
 void ScheduleExecutor::mark_reachable(PairMask& mask) const {

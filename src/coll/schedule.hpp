@@ -259,9 +259,10 @@ struct StrandedRelay {
 /// Interprets any CommSchedule against the fabric: per-node stream cursors,
 /// FIFO-class rotation, store-and-forward relaying with credit flow control,
 /// barrier gating with the local compute timer, delivery recording and
-/// IR-derived reachability. The only fabric client of the collectives;
-/// wrapped by rt::ReliableClient under faults (tests/golden/
-/// reliability_equivalence.txt pins that layer).
+/// IR-derived reachability. The only fabric client of the collectives. Under
+/// faults it numbers and checksums every packet it emits and rejects every
+/// delivery whose checksum fails; lost and rejected packets are not re-sent
+/// here but by the repair epochs of src/coll/recovery.hpp.
 class ScheduleExecutor : public net::Client {
  public:
   ScheduleExecutor(const net::NetworkConfig& config, CommSchedule schedule,
@@ -299,6 +300,9 @@ class ScheduleExecutor : public net::Client {
   void collect_stranded(const net::FaultPlan& plan,
                         std::vector<StrandedRelay>& out) const;
 
+  /// Deliveries rejected by the end-to-end checksum (0 on a healthy run).
+  std::uint64_t corrupt_rejected() const;
+
   const CommSchedule& schedule() const { return schedule_; }
   std::uint64_t credit_packets_sent() const {
     return credit_packets_.load(std::memory_order_relaxed);
@@ -322,6 +326,7 @@ class ScheduleExecutor : public net::Client {
     topo::Rank orig_src;
     std::uint32_t payload_bytes;
     std::uint16_t chunks;
+    std::uint32_t index;  // the relayed packet's Packet::index
   };
 
   struct NodeState {
@@ -345,10 +350,13 @@ class ScheduleExecutor : public net::Client {
     std::vector<std::int32_t> outstanding;
     std::vector<std::int32_t> to_credit;
     std::deque<topo::Rank> credit_queue;
+    std::uint32_t credits_sent = 0;  // Packet::index of the next credit
+    std::uint64_t corrupt_rejected = 0;
   };
 
   std::uint8_t pick_fifo(NodeState& s, std::uint8_t fifo_class, std::uint32_t peer_index,
                          std::uint32_t pkt_index);
+  bool emit(topo::Rank node, NodeState& s, net::InjectDesc& out);
   bool emit_ordered(topo::Rank node, NodeState& s, net::InjectDesc& out);
   bool emit_explicit(topo::Rank node, NodeState& s, net::InjectDesc& out);
   /// Wire message of op `op_index`: the phase's shape, or the op's private
@@ -370,6 +378,7 @@ class ScheduleExecutor : public net::Client {
   net::Fabric* fabric_ = nullptr;
   DeliveryMatrix* matrix_ = nullptr;
   const net::FaultPlan* faults_ = nullptr;  // owned by the caller; may be null
+  bool checksums_ = false;  // faults enabled: stamp and check Packet::checksum
   std::atomic<net::Tick> completion_{0};
   net::NetworkConfig config_;
   CommSchedule schedule_;

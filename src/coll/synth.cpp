@@ -738,7 +738,6 @@ std::string SynthCache::problem_key(const topo::Shape& shape,
   key += ",drop=" + fmt_double(faults.drop_prob);
   key += ",corrupt=" + fmt_double(faults.corrupt_prob);
   key += ",fseed=" + std::to_string(faults.seed);
-  key += ",rto=" + std::to_string(faults.retrans_timeout);
   key += ",retries=" + std::to_string(faults.max_retries);
   key += ",stuck=" + std::to_string(faults.stuck_drop_cycles);
   return key;

@@ -43,9 +43,7 @@ BenchContext BenchContext::from_cli(util::Cli& cli,
                                     std::initializer_list<std::string_view> unsupported) {
   for (const std::string_view name : unsupported) {
     if (cli.has(std::string(name))) {
-      std::fprintf(stderr, "%s: option --%.*s is not supported by this bench\n",
-                   cli.program().c_str(), static_cast<int>(name.size()), name.data());
-      std::exit(2);
+      cli.fail("option --" + std::string(name) + " is not supported by this bench");
     }
   }
   const auto describe = [&](const char* name, const char* help) {
@@ -72,7 +70,7 @@ BenchContext BenchContext::from_cli(util::Cli& cli,
                       "aggregates (default: none)");
   describe("faults", "fault-injection spec, e.g. link:0.02,drop:1e-5,seed:7 "
                      "(keys: link tlink repair fail_at degrade degrade_mult "
-                     "node drop seed rto retries stuck)");
+                     "node drop corrupt seed retries stuck)");
   describe("sim-threads", "slab-parallel worker threads inside each "
                           "simulation (default 1 = one slab; "
                           "see --jobs for across-point parallelism)");

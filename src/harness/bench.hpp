@@ -61,7 +61,8 @@ struct BenchContext {
   ///
   /// `unsupported` names the shared options (without dashes) a bench does
   /// not honor: they stay out of --help, and giving one prints
-  /// "<program>: option --X is not supported by this bench" and exits 2.
+  /// "<program>: error: option --X is not supported by this bench" and
+  /// exits 2.
   static BenchContext from_cli(util::Cli& cli,
                                std::initializer_list<std::string_view> unsupported = {});
 

@@ -221,10 +221,7 @@ ResumePlan plan_resume(const ResumeLog& log, const Sweep& sweep,
   for (std::size_t point = 0; point < sweep.size(); ++point) {
     for (std::size_t repeat = 0; repeat < repeats; ++repeat) {
       const std::size_t slot = point * repeats + repeat;
-      const std::uint64_t seed =
-          options.derive_seeds
-              ? derive_seed(options.base_seed, slot)
-              : sweep.jobs()[point].options.net.seed;
+      const std::uint64_t seed = derive_seed(options.base_seed, slot);
       const auto it = by_key.find(slot_key(sweep.jobs()[point].label,
                                            std::to_string(repeat),
                                            std::to_string(seed)));

@@ -168,8 +168,7 @@ std::vector<SimResult> Sweep::run(const SweepOptions& options) const {
         if (options.skip_slots != nullptr && (*options.skip_slots)[global]) {
           // Resumed slot: the caller already has this row (resume.hpp).
           result.ran = false;
-          result.seed = options.derive_seeds ? derive_seed(options.base_seed, global)
-                                             : job.options.net.seed;
+          result.seed = derive_seed(options.base_seed, global);
           meter.tick();
           return result;
         }
@@ -178,12 +177,9 @@ std::vector<SimResult> Sweep::run(const SweepOptions& options) const {
         if (sim_options.wall_timeout_ms <= 0.0 && options.timeout_ms > 0.0) {
           sim_options.wall_timeout_ms = options.timeout_ms;
         }
-        if (options.derive_seeds) {
-          // The *global* run index, so shard results are bit-identical to
-          // the same rows of an unsharded run.
-          sim_options.net.seed =
-              derive_seed(options.base_seed, point * repeats + repeat);
-        }
+        // The *global* run index, so shard results are bit-identical to the
+        // same rows of an unsharded run.
+        sim_options.net.seed = derive_seed(options.base_seed, global);
         result.seed = sim_options.net.seed;
 
         const auto start = clock::now();

@@ -79,8 +79,6 @@ struct SweepOptions {
   int jobs = 0;
   /// Run `point * repeats + repeat` uses seed derive_seed(base_seed, that).
   std::uint64_t base_seed = 1;
-  /// Set false to honor each job's own options.net.seed instead.
-  bool derive_seeds = true;
   /// Times each point runs (with independent derived seeds). Must be >= 1.
   int repeats = 1;
   /// Slice of the point list to run; defaults to the whole sweep.

@@ -41,9 +41,9 @@ enum class RoutingMode : std::uint8_t {
 };
 
 /// Deterministic fault-injection parameters. The zero-initialized config is
-/// "no faults": every fault code path in the fabric and the end-to-end
-/// reliability layer is gated on `enabled()`, so fault-free runs are
-/// bit-identical to a build without the subsystem.
+/// "no faults": every fault code path in the fabric, the schedule executor's
+/// checksums and the repair epochs is gated on `enabled()`, so fault-free
+/// runs are bit-identical to a build without the subsystem.
 ///
 /// Faults are expanded into a concrete, seeded FaultPlan (see faults.hpp):
 /// which links die, when transients strike and recover, which nodes fail.
@@ -60,7 +60,8 @@ struct FaultConfig {
   Tick repair_cycles = 2'000'000;
   /// Tick at which permanent faults (links, nodes, degradations) strike.
   /// 0 (the default) applies them before the first packet; strategies plan
-  /// around them. Later strikes are recovered by retransmission only.
+  /// around them. A later strike lands mid-run, unseen by planning, and the
+  /// repair epochs re-send what it cost (src/coll/recovery.hpp).
   Tick fail_at = 0;
   /// Fraction of undirected links running degraded (rail-degraded midplane):
   /// serialization takes `degrade_mult` x chunk_cycles on those links.
@@ -74,22 +75,22 @@ struct FaultConfig {
   /// packet is *delivered* with flipped payload bits instead of dropped.
   /// The link-level CRC protects the routing header on real BG/L hardware,
   /// so in-simulation header fields stay intact; only the end-to-end payload
-  /// checksum is damaged, and the receiver must detect it (see
-  /// src/runtime/reliability.hpp).
+  /// checksum is damaged, and the receiving schedule executor must reject
+  /// the packet (Packet::checksum).
   double corrupt_prob = 0.0;
   /// Seed of the fault plan; 0 derives from the network seed so repeated
   /// sweeps sample independent fault placements.
   std::uint64_t seed = 0;
 
-  // --- end-to-end reliability knobs (active only when faults are enabled) ---
-  /// Base retransmission timeout in cycles; doubles per retry (capped).
-  Tick retrans_timeout = 500'000;
-  /// Retries before a packet is abandoned and its pair counted undeliverable.
+  // --- loss repair (active only when faults are enabled) ---
+  /// Repair epochs after epoch 0: each re-sends, as a lint-checked explicit
+  /// schedule, the bytes every reachable pair is still short. 0 runs epoch 0
+  /// alone and reports its short pairs in RunResult::abandoned_pairs.
   int max_retries = 10;
   /// A head packet that has not moved for this many cycles is dropped so the
-  /// network cannot wedge (end-to-end retransmission recovers it); 0 = auto
-  /// (4 x retrans_timeout).
-  Tick stuck_drop_cycles = 0;
+  /// network cannot wedge; the repair epochs re-send what it carried. 0
+  /// turns the sweep off.
+  Tick stuck_drop_cycles = 2'000'000;
 
   /// True when any fault mechanism is configured.
   bool enabled() const noexcept {

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 namespace bgl::net {
 
@@ -60,10 +61,19 @@ void check_config(const NetworkConfig& config) {
 }
 
 Fabric::Fabric(const NetworkConfig& config, Client& client)
+    : Fabric(config, client, FaultPlan(config, config.shape), 0) {}
+
+Fabric::Fabric(const NetworkConfig& config, Client& client, FaultPlan plan, int epoch)
     : config_(config),
       torus_(config.shape),
-      client_(&client) {
+      client_(&client),
+      fault_plan_(std::move(plan)),
+      fault_epoch_(static_cast<std::uint32_t>(epoch)) {
   check_config(config_);
+  if (!(fault_plan_.config() == config_.faults) ||
+      (fault_plan_.enabled() && fault_plan_.torus().shape() != config_.shape)) {
+    throw std::invalid_argument("Fabric: fault plan was expanded from another config");
+  }
 
   const int nodes = torus_.nodes();
   dirs_ = torus_.directions();
@@ -119,19 +129,16 @@ Fabric::Fabric(const NetworkConfig& config, Client& client)
 }
 
 void Fabric::init_faults() {
-  fault_plan_ = FaultPlan(config_, config_.shape);
   faults_active_ = fault_plan_.enabled();
   if (!faults_active_) return;
-  const FaultConfig& fc = config_.faults;
   // fail_at == 0: permanent faults are applied (and planned around) from the
-  // start, exactly as before. fail_at > 0: the network runs blind until the
-  // strike — doomed nodes pump, traffic routes into them — and the plan's
-  // permanent state only becomes consultable at kPermStrike.
-  struck_ = (fc.fail_at == 0);
+  // start. fail_at > 0: epoch 0 runs blind until the strike — doomed nodes
+  // pump, traffic routes into them — and the plan's permanent state only
+  // becomes consultable at kPermStrike. A repair epoch starts after it.
+  struck_ = config_.faults.fail_at == 0 || fault_epoch_ > 0;
   drop_seed_ = fault_plan_.derived_seed() ^ 0x64726f70ULL;     // "drop"
   corrupt_seed_ = fault_plan_.derived_seed() ^ 0x636f7272ULL;  // "corr"
-  stuck_cycles_ =
-      fc.stuck_drop_cycles != 0 ? fc.stuck_drop_cycles : 4 * fc.retrans_timeout;
+  stuck_cycles_ = config_.faults.stuck_drop_cycles;
   link_down_.assign(link_peer_.size(), 0);
   link_degraded_.assign(link_peer_.size(), 0);
   head_since_.assign(buffers_.size(), 0);
@@ -139,16 +146,16 @@ void Fabric::init_faults() {
   for (std::size_t l = 0; l < link_peer_.size(); ++l) {
     const LinkHealth health = fault_plan_.link_health(static_cast<int>(l));
     if (health == LinkHealth::kDegraded) link_degraded_[l] = 1;
-    if (health == LinkHealth::kDead && fc.fail_at == 0) link_down_[l] = 1;
+    if (health == LinkHealth::kDead && struck_) link_down_[l] = 1;
   }
 }
 
 void Fabric::prime_fault_events() {
-  if (!faults_active_) return;
+  // A repair epoch has no timeline: every outage ended before it began.
+  if (!faults_active_ || fault_epoch_ > 0) return;
   const FaultConfig& fc = config_.faults;
   const bool strike_pending =
-      fc.fail_at > 0 &&
-      fault_plan_.dead_link_count() + fault_plan_.dead_node_count() > 0;
+      !struck_ && fault_plan_.dead_link_count() + fault_plan_.dead_node_count() > 0;
   // The strike goes to every slab (each applies its own slice of links,
   // cores and in-flight packets); a transient outage goes to the owner
   // slab(s) of its two directed ends.
@@ -534,9 +541,8 @@ void Fabric::handle(const sim::Event& event) {
       pump_cpu(static_cast<Rank>(event.a));
       break;
     case kEvTimer:
-      // Timers of a fail-stopped node die with it: its reliability scan loop
-      // would otherwise re-arm forever and the run could only end by
-      // exhausting the watchdog timeout.
+      // Timers of a fail-stopped node die with it: a barrier that opens
+      // after the strike must not wake a dead core.
       if (node_alive_now(static_cast<Rank>(event.a))) {
         client_->on_timer(static_cast<Rank>(event.a), event.b);
       }
@@ -648,11 +654,8 @@ bool Fabric::try_inject(Rank node, const InjectDesc& desc) {
   packet.payload_bytes = desc.payload_bytes;
   packet.chunks = desc.wire_chunks;
   packet.mode = desc.mode;
-  packet.seq = desc.seq;
-  packet.ack_cum = desc.ack_cum;
-  packet.ack_bits = desc.ack_bits;
+  packet.index = desc.index;
   packet.checksum = desc.checksum;
-  packet.attempt = desc.attempt;
 
   if (faults_active_ && struck_now()) {
     // Same tie-coin draw as below, but steered away from tie resolutions
@@ -975,26 +978,25 @@ void Fabric::on_arrival(std::uint32_t slot_index) {
 
   if (faults_active_) {
     // Counter-based per-packet fault draws: pure functions of the fault seed
-    // and the packet's identity — (src, dst) flow, sequence number, attempt
-    // and the remaining-hop count after this hop (minimal routing shrinks it
-    // by exactly 1 per hop regardless of the adaptive path taken, so it is a
-    // path- and timing-independent hop index). Any (seed, shape) therefore
-    // reproduces the same fault realization at any --sim-threads N. Only
-    // sequenced packets (reliability-layer data) are eligible: ack packets
-    // are unsequenced and their population depends on delivery timing, which
-    // would make the realization interleaving-dependent.
+    // and the packet's identity — its endpoints, tag and index, which no
+    // other packet of the epoch shares — plus the epoch and the remaining-hop
+    // count after this hop (minimal routing shrinks it by exactly 1 per hop
+    // regardless of the adaptive path taken, so it is a path- and
+    // timing-independent hop index). Any (seed, shape) therefore reproduces
+    // the same fault realization at any --sim-threads N.
     const std::uint64_t flow =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(packet.src)) << 32) |
         static_cast<std::uint32_t>(packet.dst);
     int remaining = 0;
     for (const std::int16_t h : packet.hops) remaining += h < 0 ? -h : h;
-    const std::uint64_t life = (static_cast<std::uint64_t>(packet.seq) << 32) |
-                               (static_cast<std::uint64_t>(packet.attempt) << 16) |
-                               static_cast<std::uint64_t>(remaining & 0xffff);
+    const std::uint64_t life =
+        fault_hash(packet.tag, packet.index,
+                   (std::uint64_t{fault_epoch_} << 16) |
+                       static_cast<std::uint64_t>(remaining & 0xffff));
     bool drop = link_died;
     if (drop) {
       ++live_fault_stats().dropped_in_flight;
-    } else if (config_.faults.drop_prob > 0.0 && packet.seq != 0 &&
+    } else if (config_.faults.drop_prob > 0.0 &&
                fault_unit(drop_seed_, flow, life) < config_.faults.drop_prob) {
       drop = true;
       ++live_fault_stats().dropped_prob;
@@ -1011,10 +1013,10 @@ void Fabric::on_arrival(std::uint32_t slot_index) {
     // Byzantine link: the packet crosses the hop intact on the wire model
     // but its payload bits flip. The link-level CRC keeps the routing header
     // usable, so in-simulation we damage only the end-to-end checksum — the
-    // receiver (ReliableClient) must reject it; silent acceptance would
+    // receiving schedule executor must reject it; silent acceptance would
     // deliver garbage. Only the final hop corrupts, mirroring drop_prob's
     // per-arrival accounting and keeping one counter per injected fault.
-    if (deliver && config_.faults.corrupt_prob > 0.0 && packet.seq != 0 &&
+    if (deliver && config_.faults.corrupt_prob > 0.0 &&
         fault_unit(corrupt_seed_, flow, life) < config_.faults.corrupt_prob) {
       std::uint32_t mask =
           static_cast<std::uint32_t>(fault_hash(corrupt_seed_ ^ 0x6d61736bULL, flow, life));

@@ -144,8 +144,19 @@ void check_config(const NetworkConfig& config);
 
 class Fabric {
  public:
-  /// Throws std::invalid_argument on a config check_config rejects.
+  /// Throws std::invalid_argument on a config check_config rejects. The
+  /// fabric expands its own fault plan from config.faults.
   Fabric(const NetworkConfig& config, Client& client);
+
+  /// Runs epoch `epoch` of a faulted collective under the caller's `plan`,
+  /// which must be the expansion of config.faults over config.shape (a copy
+  /// shares its routability table). Epoch 0 plays the plan's timeline: the
+  /// permanent faults strike at fail_at and the transient outages come and
+  /// go. A repair epoch (epoch > 0) starts once epoch 0 has quiesced, so it
+  /// runs on the plan's dead and degraded sets from tick 0 with no outage
+  /// pending. The epoch is part of every packet's fault-draw key. Throws
+  /// std::invalid_argument when `plan` was expanded from another config.
+  Fabric(const NetworkConfig& config, Client& client, FaultPlan plan, int epoch);
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -168,26 +179,6 @@ class Fabric {
   /// fault-event counters.
   const FaultPlan& fault_plan() const noexcept { return fault_plan_; }
   const FaultStats& fault_stats() const noexcept { return fault_stats_; }
-
-  /// True once permanent faults have actually been applied to the network.
-  /// With fail_at == 0 that is before the first packet (today's planning
-  /// semantics); with fail_at > 0 the network runs *blind* — healthy routing,
-  /// no plan steering — until the strike lands mid-run. The reliability
-  /// layer keys its give-up logic off this so pre-strike traffic is not
-  /// abandoned against a fault plan nobody is supposed to know yet. Each
-  /// slab observes its *own* strike flag (flipped by its own kPermStrike
-  /// event), so a handler never reads a neighbor's toggle mid-window.
-  bool perm_faults_struck() const noexcept { return struck_now(); }
-
-  /// Routability oracle for clients running inside handlers: answers
-  /// against the permanent fault state *as this node currently sees it*
-  /// (always routable while the network is still blind, which
-  /// fault_plan().pair_routable() does not know about). The plan's table is
-  /// shared by every slab, so any thread may ask.
-  bool pair_routable_now(Rank src, Rank dst, RoutingMode mode) const {
-    if (!faults_active_ || !struck_now()) return true;
-    return fault_plan_.pair_routable(src, dst, mode);
-  }
 
   /// Re-arms `node`'s core if idle (clients call this when new work arrives,
   /// e.g. a TPS forward enqueued by on_delivery).
@@ -573,10 +564,11 @@ class Fabric {
   FaultPlan fault_plan_;
   bool faults_active_ = false;
   /// Permanent faults applied? True from construction when fail_at == 0
-  /// (plan-ahead semantics, unchanged), false until the kPermStrike event
-  /// when fail_at > 0 (blind mid-run fail-stop). Seeds every slab's own
-  /// flag (Shard::struck, which gates every consultation of the plan's
-  /// permanent state during a run) and holds the merged value between runs.
+  /// (plan-ahead semantics) or in a repair epoch, false until the
+  /// kPermStrike event when fail_at > 0 (blind mid-run fail-stop). Seeds
+  /// every slab's own flag (Shard::struck, which gates every consultation of
+  /// the plan's permanent state during a run) and holds the merged value
+  /// between runs.
   bool struck_ = false;
   bool node_alive_now(Rank node) const noexcept {
     return !faults_active_ || !struck_now() || fault_plan_.node_alive(node);
@@ -590,13 +582,12 @@ class Fabric {
   std::vector<Tick> fifo_head_since_;
   /// Seeds of the counter-based per-packet fault draws (see fault_hash in
   /// faults.hpp): a drop/corruption decision is a pure function of
-  /// (seed, flow, seq, attempt, remaining hops), never a sequential RNG
-  /// draw, so the realization is identical at any thread count. Only
-  /// sequenced packets (seq != 0, i.e. reliability-layer data) are eligible:
-  /// ack packets are unsequenced and their population is timing-dependent,
-  /// which would make the fault realization depend on the interleaving.
+  /// (seed, packet identity, epoch, remaining hops), never a sequential RNG
+  /// draw, so the realization is identical at any thread count.
   std::uint64_t drop_seed_ = 0;
   std::uint64_t corrupt_seed_ = 0;
+  /// Epoch of the collective this fabric runs (0 = the schedule itself).
+  std::uint32_t fault_epoch_ = 0;
   FaultStats fault_stats_;
 };
 

@@ -85,17 +85,15 @@ FaultConfig parse_fault_spec(const std::string& text) {
     } else if (key == "seed") {
       out.seed = static_cast<std::uint64_t>(
           util::parse_strict_int(value, "option --faults seed"));
-    } else if (key == "rto") {
-      const auto n = non_negative(value, key);
-      if (n == 0) spec_error("rto must be > 0");
-      out.retrans_timeout = n;
     } else if (key == "retries") {
       out.max_retries = static_cast<int>(non_negative(value, key));
     } else if (key == "stuck") {
-      out.stuck_drop_cycles = non_negative(value, key);
+      const auto n = non_negative(value, key);
+      if (n == 0) spec_error("stuck must be > 0");
+      out.stuck_drop_cycles = n;
     } else {
       spec_error("unknown key '" + key + "' (expected link, tlink, repair, fail_at, " +
-                 "degrade, degrade_mult, node, drop, corrupt, seed, rto, retries, stuck)");
+                 "degrade, degrade_mult, node, drop, corrupt, seed, retries, stuck)");
     }
   }
   return out;

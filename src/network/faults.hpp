@@ -3,9 +3,10 @@
 // A FaultPlan expands a FaultConfig into concrete faults on a concrete
 // Shape: which undirected links are permanently dead or degraded, which
 // nodes are down, and when each transient link failure strikes and repairs.
-// The expansion is a pure function of (config, shape) — the plan built by
-// the Fabric and the plan a strategy client plans against are guaranteed to
-// agree, and a sweep is bit-identical for any worker count.
+// The expansion is a pure function of (config, shape), so a sweep is
+// bit-identical for any worker count. A collective expands it once: its
+// planning, the Fabric of every epoch and its repair residual read that one
+// plan, and copies share its routability table.
 //
 // The plan also carries the minimal-path routability oracle used by
 //  - strategy clients, to skip destinations that cannot be reached and to
@@ -15,8 +16,8 @@
 //  - verification, to define the "reachable pairs" a degraded run must
 //    still deliver exactly.
 // Routability is evaluated against the *permanent* fault state: transient
-// link failures heal, so they delay packets (or force retransmits) without
-// making a pair unreachable.
+// link failures heal, so they delay or drop packets (which the repair epochs
+// re-send) without making a pair unreachable.
 #pragma once
 
 #include <array>
@@ -33,7 +34,7 @@ namespace bgl::net {
 
 /// Counter-based (stateless) fault randomness: a splitmix64-style mix of a
 /// seed and two key words. Every stochastic per-packet fault decision (drop,
-/// corruption) is a pure function of (fault seed, flow identity, attempt,
+/// corruption) is a pure function of (fault seed, packet identity, epoch,
 /// hop) through this hash, never a draw from a sequential RNG stream — so
 /// the realization is independent of event-processing order and a run
 /// reproduces the same faults at any `--sim-threads N`.
@@ -64,9 +65,10 @@ inline double fault_unit(std::uint64_t seed, std::uint64_t a,
 ///   degrade_mult:K  chunk-cycle multiplier on degraded links
 ///   node:N          number of failed nodes
 ///   drop:P          per-arrival packet drop probability
+///   corrupt:P       per-delivery payload corruption probability
 ///   seed:S          fault-plan seed (0 derives from the network seed)
-///   rto:T           base retransmission timeout in cycles
-///   retries:N       retransmission budget per packet
+///   retries:N       repair epochs after epoch 0 (default 10)
+///   stuck:T         stuck-head sweep age in cycles (default 2,000,000)
 /// Throws std::runtime_error with a message naming --faults on malformed
 /// input (unknown key, bad number, out-of-range value).
 FaultConfig parse_fault_spec(const std::string& text);
@@ -100,7 +102,7 @@ class FaultPlan {
 
   /// Seed the plan actually used (faults.seed, or the value derived from the
   /// network seed when faults.seed == 0); consumers needing more fault
-  /// randomness (the fabric's drop RNG) fork from this.
+  /// randomness (the fabric's drop and corruption draws) fork from this.
   std::uint64_t derived_seed() const noexcept { return derived_seed_; }
 
   /// Directed link id, mirroring Fabric::link_id (2n directions per node).

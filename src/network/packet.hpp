@@ -24,20 +24,15 @@ struct Packet {
   RoutingMode mode = RoutingMode::kAdaptive;
   std::uint8_t vc = 0;  // VC the packet currently occupies
 
-  // End-to-end reliability header (rides in the 8 B proto header the chunk
-  // accounting already charges; see src/runtime/reliability.hpp). All-zero —
-  // and ignored by every fault-free code path — when faults are disabled.
-  std::uint32_t seq = 0;       // 1-based per-(src,dst) sequence; 0 = unsequenced
-  std::uint32_t ack_cum = 0;   // all sequences <= ack_cum delivered back to src
-  std::uint32_t ack_bits = 0;  // SACK bitmap for sequences in (ack_cum, ack_cum+32]
-  /// Transmission attempt (0 = first send, k = k-th retransmit, saturating).
-  /// Part of the counter-based fault key so a retransmission is not
-  /// deterministically re-dropped at the same hop as the original.
-  std::uint8_t attempt = 0;
-  /// End-to-end payload checksum stamped by the sender over the header and
-  /// payload identity; a Byzantine link (corrupt_prob) XORs it in flight and
-  /// the receiver rejects the packet on mismatch. All-zero and ignored when
-  /// faults are disabled.
+  /// The packet's position among those its sender emits under one tag
+  /// (the schedule executor numbers a message's packets 0, 1, ...). With the
+  /// endpoints and the tag it names the packet uniquely within an epoch, so
+  /// the counter-based fault draws key on it.
+  std::uint32_t index = 0;
+  /// End-to-end payload checksum the schedule executor stamps under faults
+  /// over the packet's identity; a Byzantine link (corrupt_prob) XORs it in
+  /// flight and the receiver rejects the packet on mismatch. Zero and
+  /// ignored on a healthy network.
   std::uint32_t checksum = 0;
 
   bool at_destination() const noexcept {
@@ -66,12 +61,9 @@ struct InjectDesc {
   /// of the bandwidth-proportional injection cost (the paper's per-message α).
   std::uint32_t extra_cpu_cycles = 0;
 
-  /// Reliability header copied verbatim into the packet (see Packet).
-  std::uint32_t seq = 0;
-  std::uint32_t ack_cum = 0;
-  std::uint32_t ack_bits = 0;
+  /// Copied verbatim into the packet (see Packet).
+  std::uint32_t index = 0;
   std::uint32_t checksum = 0;
-  std::uint8_t attempt = 0;
 };
 
 }  // namespace bgl::net

@@ -100,16 +100,9 @@ std::string summarize_faults(const net::FaultPlan& plan, const net::FaultStats& 
                 static_cast<unsigned long long>(faults.reroute_vetoes));
   out += buf;
   std::snprintf(buf, sizeof(buf),
-                "reliability: %llu sequenced, %llu retransmits, %llu duplicates "
-                "dropped, %llu corrupt rejected, %llu+%llu acks "
-                "(standalone+piggybacked), %llu given up",
-                static_cast<unsigned long long>(reliability.data_sequenced),
-                static_cast<unsigned long long>(reliability.retransmits),
-                static_cast<unsigned long long>(reliability.duplicates_dropped),
+                "repair: %llu corrupt rejected, %llu packets re-sent by repair epochs",
                 static_cast<unsigned long long>(reliability.corrupt_rejected),
-                static_cast<unsigned long long>(reliability.acks_standalone),
-                static_cast<unsigned long long>(reliability.acks_piggybacked),
-                static_cast<unsigned long long>(reliability.gave_up));
+                static_cast<unsigned long long>(reliability.retransmits));
   out += buf;
   return out;
 }
@@ -117,17 +110,16 @@ std::string summarize_faults(const net::FaultPlan& plan, const net::FaultStats& 
 std::string summarize_recovery(int epochs, int replans, net::Tick replan_cycles,
                                std::uint64_t residual_pairs,
                                std::uint64_t recovered_bytes,
-                               std::uint64_t corruption_retransmits) {
-  if (epochs <= 1 && corruption_retransmits == 0) return "";
+                               std::uint64_t abandoned_pairs) {
+  if (epochs <= 1 && residual_pairs == 0) return "";
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "recovery: %d epochs (%d re-plans, %llu cycles), "
-                "%llu residual pairs, %llu bytes recovered, "
-                "%llu corruption retransmits",
+                "%llu residual pairs, %llu bytes recovered, %llu pairs abandoned",
                 epochs, replans, static_cast<unsigned long long>(replan_cycles),
                 static_cast<unsigned long long>(residual_pairs),
                 static_cast<unsigned long long>(recovered_bytes),
-                static_cast<unsigned long long>(corruption_retransmits));
+                static_cast<unsigned long long>(abandoned_pairs));
   return buf;
 }
 

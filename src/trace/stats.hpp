@@ -41,17 +41,17 @@ std::vector<int> utilization_histogram(const net::Fabric& fabric, net::Tick elap
 
 /// One-paragraph human-readable summary of a degraded run: plan size (dead /
 /// degraded links, dead nodes, transient outages), fabric drop and reroute
-/// counters, and the reliability layer's retransmission work. Returns "" for
-/// a disabled plan with all-zero counters.
+/// counters, checksum rejections and the packets the repair epochs re-sent.
+/// Returns "" for a disabled plan with all-zero counters.
 std::string summarize_faults(const net::FaultPlan& plan, const net::FaultStats& faults,
                              const rt::ReliabilityStats& reliability);
 
-/// One-line summary of a run's epoch recovery (scalars rather than the coll
-/// layer's EpochStats — trace sits below coll). Returns "" for an
-/// unremarkable run (single epoch, no corruption handled).
+/// One-line summary of a run's repair epochs (scalars rather than the coll
+/// layer's EpochStats — trace sits below coll). Returns "" for a run whose
+/// epoch 0 left nothing short.
 std::string summarize_recovery(int epochs, int replans, net::Tick replan_cycles,
                                std::uint64_t residual_pairs,
                                std::uint64_t recovered_bytes,
-                               std::uint64_t corruption_retransmits);
+                               std::uint64_t abandoned_pairs);
 
 }  // namespace bgl::trace

@@ -27,7 +27,7 @@ namespace {
 TEST(ParseFaultSpec, ParsesEveryKey) {
   const FaultConfig c = parse_fault_spec(
       "link:0.02,tlink=0.01,repair:1000,fail_at:5,degrade:0.1,degrade_mult:8,"
-      "node:3,drop:1e-5,corrupt:2e-4,seed:7,rto:2000,retries:4,stuck:9000");
+      "node:3,drop:1e-5,corrupt:2e-4,seed:7,retries:4,stuck:9000");
   EXPECT_DOUBLE_EQ(c.link_fail, 0.02);
   EXPECT_DOUBLE_EQ(c.link_transient, 0.01);
   EXPECT_EQ(c.repair_cycles, 1000);
@@ -38,7 +38,6 @@ TEST(ParseFaultSpec, ParsesEveryKey) {
   EXPECT_DOUBLE_EQ(c.drop_prob, 1e-5);
   EXPECT_DOUBLE_EQ(c.corrupt_prob, 2e-4);
   EXPECT_EQ(c.seed, 7u);
-  EXPECT_EQ(c.retrans_timeout, 2000);
   EXPECT_EQ(c.max_retries, 4);
   EXPECT_EQ(c.stuck_drop_cycles, 9000);
   EXPECT_TRUE(c.enabled());
@@ -92,7 +91,9 @@ TEST(ParseFaultSpec, RejectsMalformedInput) {
   EXPECT_THROW(parse_fault_spec("drop:-0.1"), std::runtime_error);     // < 0
   EXPECT_THROW(parse_fault_spec("node:-2"), std::runtime_error);
   EXPECT_THROW(parse_fault_spec("repair:0"), std::runtime_error);
-  EXPECT_THROW(parse_fault_spec("rto:0"), std::runtime_error);
+  EXPECT_THROW(parse_fault_spec("stuck:0"), std::runtime_error);
+  // The retransmission timeout went with per-packet retransmission.
+  EXPECT_THROW(parse_fault_spec("rto:1"), std::runtime_error);
   EXPECT_THROW(parse_fault_spec("degrade_mult:1"), std::runtime_error);
   EXPECT_THROW(parse_fault_spec("link:0.1 "), std::runtime_error);     // trailing junk
 }

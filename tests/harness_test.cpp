@@ -504,7 +504,8 @@ TEST(BenchContextDeathTest, UnsupportedSharedOptionIsAnError) {
   };
   for (const char* flag : {"--csv", "--resume"}) {
     EXPECT_EXIT(parse(flag), ::testing::ExitedWithCode(2),
-                std::string("bench: option ") + flag + " is not supported by this bench");
+                std::string("bench: error: option ") + flag +
+                    " is not supported by this bench");
   }
 }
 

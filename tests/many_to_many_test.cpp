@@ -184,7 +184,7 @@ TEST(M2M, PatternScheduleRejectsMalformedPatterns) {
   EXPECT_THROW(build(twice), std::invalid_argument);
 }
 
-// Pattern runs join the fault, reliability and recovery contracts: under
+// Pattern runs join the fault and repair contracts: under
 // each spec every case lints clean against what planning sees, drains,
 // delivers every pair it still owes exactly once, rejects every corrupted
 // payload, and accounts every ordered pair as complete or not owed.

@@ -2,14 +2,13 @@
 //
 // The contract under test (DESIGN.md "Counter-based fault randomness"):
 //  - Every probabilistic fault decision (drop, corruption) is a pure
-//    function of (fault seed, flow, sequence, attempt, remaining hops)
-//    through a counter-based hash — so with retransmissions quiesced by a
-//    generous RTO, the realization and the delivery matrix are *cell-exact*
-//    across any --sim-threads count.
-//  - Timing-coupled populations (packets in flight when a strike lands, the
-//    set of RTO-expired retransmissions) are only promised to be
-//    bit-deterministic per (seed, sim_threads): the same run twice is
-//    identical, and the final delivery verdict matches single-thread.
+//    function of (fault seed, packet identity, epoch, remaining hops)
+//    through a counter-based hash — so the realization and the delivery
+//    matrix are *cell-exact* across any --sim-threads count.
+//  - Timing-coupled populations (packets in flight when a strike lands or
+//    an outage begins) are only promised to be bit-deterministic per
+//    (seed, sim_threads): the same run twice is identical, and the final
+//    delivery verdict matches single-thread.
 //  - Hop observers run parallel via per-slab ordered logs, merged and
 //    replayed in (tick, link id) order while the next window runs: same
 //    grant count as the one-slab run, deterministic replay order.
@@ -27,9 +26,7 @@
 namespace bgl::coll {
 namespace {
 
-/// One faulted verified run. A generous RTO (rto:2000000 in the specs
-/// below) keeps the retransmit population empty so the fault realization is
-/// the only stochastic surface.
+/// One faulted verified run.
 RunResult faulted_run(const char* shape, StrategyKind kind,
                       std::uint64_t bytes, const char* spec, int threads,
                       DeliveryMatrix* matrix = nullptr) {
@@ -55,7 +52,7 @@ void expect_matrices_equal(const DeliveryMatrix& a, const DeliveryMatrix& b) {
 }
 
 TEST(MtFaults, DropPlanFaultStatsMatchAcrossThreads) {
-  const char* spec = "drop:5e-4,seed:3,rto:2000000";
+  const char* spec = "drop:5e-4,seed:3";
   const std::int32_t nodes = 128;  // 4x4x8
   DeliveryMatrix st(nodes);
   const RunResult ref = faulted_run("4x4x8", StrategyKind::kAdaptiveRandom,
@@ -72,7 +69,7 @@ TEST(MtFaults, DropPlanFaultStatsMatchAcrossThreads) {
     // The counter-based draws make the loss realization thread-invariant.
     EXPECT_EQ(r.faults.dropped_prob, ref.faults.dropped_prob);
     EXPECT_EQ(r.faults.corrupted_payloads, 0u);
-    EXPECT_EQ(r.reliability.data_sequenced, ref.reliability.data_sequenced);
+    EXPECT_EQ(r.reliability.retransmits, ref.reliability.retransmits);
     EXPECT_EQ(r.pairs_complete, ref.pairs_complete);
     EXPECT_TRUE(r.reachable_complete);
     expect_matrices_equal(st, mt);
@@ -80,7 +77,7 @@ TEST(MtFaults, DropPlanFaultStatsMatchAcrossThreads) {
 }
 
 TEST(MtFaults, DegradedLinksMatchAcrossThreads) {
-  const char* spec = "link:0.03,degrade:0.05,degrade_mult:4,seed:11,rto:2000000";
+  const char* spec = "link:0.03,degrade:0.05,degrade_mult:4,seed:11";
   const std::int32_t nodes = 128;
   DeliveryMatrix st(nodes);
   const RunResult ref =
@@ -101,7 +98,7 @@ TEST(MtFaults, DegradedLinksMatchAcrossThreads) {
 }
 
 TEST(MtFaults, CorruptDetectionMatchesAcrossThreads) {
-  const char* spec = "corrupt:2e-4,seed:5,rto:2000000";
+  const char* spec = "corrupt:2e-4,seed:5";
   const std::int32_t nodes = 128;
   DeliveryMatrix st(nodes);
   const RunResult ref =
@@ -156,7 +153,7 @@ TEST(MtFaults, MidRunStrikeWithRecoveryDeterministicPerThreadCount) {
 }
 
 TEST(MtFaults, TransientOutagesDeterministicPerThreadCount) {
-  const char* spec = "tlink:0.05,repair:30000,seed:17,rto:60000";
+  const char* spec = "tlink:0.05,repair:30000,seed:17";
   const RunResult ref =
       faulted_run("4x4x8", StrategyKind::kAdaptiveRandom, 480, spec, 1);
   const RunResult a =
@@ -239,7 +236,7 @@ TEST(MtFaults, ChaosRunUnderEveryFaultMechanismDrains) {
   // that the run still quiesces and verifies.
   const char* spec =
       "node:1,link:0.02,tlink:0.03,repair:20000,drop:2e-4,corrupt:1e-4,"
-      "fail_at:150000,seed:23,rto:40000";
+      "fail_at:150000,seed:23";
   const RunResult a =
       faulted_run("4x4x8", StrategyKind::kAdaptiveRandom, 480, spec, 4);
   const RunResult b =

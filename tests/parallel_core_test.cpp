@@ -119,25 +119,30 @@ TEST(MidRunStrike, BlindPlanningQuiescesAndReportsStrandedRelayBytes) {
   // Strike one node a quarter of the way into the healthy run: phase-1
   // forwards are in flight and (for this seed) some sit in the victim's
   // custody at the strike instant. Deterministic — not timing-flaky.
-  // Recovery off: this test pins the raw struck-epoch contract (recovery
-  // semantics have their own suite in recovery_test.cpp).
+  // Recovery off: this test pins the struck epoch 0 with no repair epoch
+  // (recovery semantics have their own suite in recovery_test.cpp).
   options.recover = false;
   options.net.faults.node_fail = 1;
   options.net.faults.fail_at = healthy.elapsed_cycles / 4;
   const RunResult r = run_alltoall(StrategyKind::kTwoPhase, options);
 
-  // The run must quiesce by itself (give-ups + sweeps), not by watchdog.
+  // The run must quiesce by itself (sweeps), not by watchdog.
   EXPECT_TRUE(r.drained);
   EXPECT_FALSE(r.timed_out);
-  // Planning was blind: nothing was steered around the future fault...
-  EXPECT_EQ(r.unreachable_pairs, 0u);
-  // ...so the strike shows up as a delivery shortfall, with the stranded
-  // relay payload accounting for part of it.
+  EXPECT_EQ(r.epochs.epochs, 1);
+  // Planning was blind: nothing was steered around the future fault, so
+  // the strike shows up as a delivery shortfall, with the stranded relay
+  // payload accounting for part of it. Only the pairs of the dead node it
+  // left short become unreachable; the survivors' short pairs are
+  // reported abandoned.
   EXPECT_FALSE(r.reachable_complete);
   EXPECT_GT(r.faults.stranded_relay_bytes, 0u);
   const auto nodes = static_cast<std::uint64_t>(options.net.shape.nodes());
+  EXPECT_GT(r.unreachable_pairs, 0u);
+  EXPECT_LE(r.unreachable_pairs, 2 * (nodes - 1));
+  EXPECT_GT(r.abandoned_pairs, 0u);
   EXPECT_GT(r.pairs_complete, 0u);
-  EXPECT_LT(r.pairs_complete, nodes * (nodes - 1));
+  EXPECT_EQ(r.pairs_complete + r.abandoned_pairs + r.unreachable_pairs, nodes * (nodes - 1));
 }
 
 TEST(MidRunStrike, ImmediateStrikeStillPlansAroundFaults) {

@@ -1,7 +1,7 @@
 // Regenerates the stored goldens under tests/golden/:
 //
 //   ./equivalence_golden > ../tests/golden/schedule_equivalence.txt
-//   ./equivalence_golden reliability > ../tests/golden/reliability_equivalence.txt
+//   ./equivalence_golden repair > ../tests/golden/repair_equivalence.txt
 //   ./equivalence_golden many_to_many > ../tests/golden/many_to_many_equivalence.txt
 //   ./equivalence_golden observer > ../tests/golden/observer_replay_order.txt
 //
@@ -12,9 +12,9 @@
 //   name variant elapsed events packets payload unreachable pairs_complete
 //   reachable_complete links_mean matrix_fnv reachable_fnv
 //
-// reliability: every counter of the end-to-end reliability layer and the
-// fault subsystem on the reliability cases (tests/reliability_cases.hpp) at
-// 1 and 4 slab threads; one "name threads <rel_record>" line per run.
+// repair: the epoch and repair counters and every fault counter of the
+// repair cases (tests/repair_cases.hpp) at 1 and 4 slab threads; one
+// "name threads <repair_record>" line per run.
 //
 // many_to_many: elapsed, events, packets, payload, mean link utilization and
 // the delivery-matrix FNV of the pattern cases (tests/many_to_many_cases.hpp),
@@ -35,7 +35,7 @@
 #include "tests/equivalence_cases.hpp"
 #include "tests/many_to_many_cases.hpp"
 #include "tests/observer_cases.hpp"
-#include "tests/reliability_cases.hpp"
+#include "tests/repair_cases.hpp"
 
 namespace {
 
@@ -74,20 +74,19 @@ int print_schedule_golden() {
   return 0;
 }
 
-int print_reliability_golden() {
-  std::printf("# reliability-equivalence golden: %zu cases x {1,4} slab threads\n",
-              std::size(kRelCases));
+int print_repair_golden() {
+  std::printf("# repair-equivalence golden: %zu cases x {1,4} slab threads\n",
+              std::size(kRepairCases));
   std::printf(
       "# name threads elapsed events packets payload pairs_complete "
-      "reachable_complete unreachable abandoned epochs data_sequenced "
-      "retransmits gave_up acks_standalone acks_piggybacked duplicates_dropped "
-      "corrupt_rejected dropped_in_flight dropped_prob dropped_stuck "
-      "corrupted_payloads unroutable_at_injection reroute_vetoes "
-      "transient_strikes link_down_cycles stranded_relay_bytes matrix_fnv "
-      "reachable_fnv\n");
-  for (const RelCase& c : kRelCases) {
-    for (const int threads : kRelThreads) {
-      AlltoallOptions options = rel_options(c, threads);
+      "reachable_complete unreachable abandoned epochs residual_pairs "
+      "recovered_bytes replan_cycles retransmits corrupt_rejected "
+      "dropped_in_flight dropped_prob dropped_stuck corrupted_payloads "
+      "unroutable_at_injection reroute_vetoes transient_strikes "
+      "link_down_cycles stranded_relay_bytes matrix_fnv reachable_fnv\n");
+  for (const RepairCase& c : kRepairCases) {
+    for (const int threads : kRepairThreads) {
+      AlltoallOptions options = repair_options(c, threads);
       DeliveryMatrix matrix(static_cast<std::int32_t>(options.net.shape.nodes()));
       options.deliveries = &matrix;
       const RunResult result = run_alltoall(c.kind, options);
@@ -95,7 +94,7 @@ int print_reliability_golden() {
         std::fprintf(stderr, "case %s at %d threads did not drain\n", c.name, threads);
         return 1;
       }
-      std::printf("%s %d %s\n", c.name, threads, rel_record(result, matrix).c_str());
+      std::printf("%s %d %s\n", c.name, threads, repair_record(result, matrix).c_str());
     }
   }
   return 0;
@@ -135,16 +134,14 @@ int print_observer_golden() {
 
 int main(int argc, char** argv) {
   if (argc > 2 || (argc == 2 && std::strcmp(argv[1], "schedule") != 0 &&
-                   std::strcmp(argv[1], "reliability") != 0 &&
+                   std::strcmp(argv[1], "repair") != 0 &&
                    std::strcmp(argv[1], "many_to_many") != 0 &&
                    std::strcmp(argv[1], "observer") != 0)) {
-    std::fprintf(stderr, "usage: %s [schedule|reliability|many_to_many|observer]\n",
+    std::fprintf(stderr, "usage: %s [schedule|repair|many_to_many|observer]\n",
                  argv[0]);
     return 2;
   }
-  if (argc == 2 && std::strcmp(argv[1], "reliability") == 0) {
-    return print_reliability_golden();
-  }
+  if (argc == 2 && std::strcmp(argv[1], "repair") == 0) return print_repair_golden();
   if (argc == 2 && std::strcmp(argv[1], "many_to_many") == 0) {
     return print_many_to_many_golden();
   }

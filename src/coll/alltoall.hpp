@@ -93,15 +93,6 @@ struct AlltoallOptions {
   /// kept as an int to avoid pulling vmesh.hpp into this header.
   int vmesh_mapping = 0;
 
-  /// Repair epochs of a faulted run: once epoch 0 quiesces, survivors agree
-  /// on a liveness view, compute the undelivered residual from the delivery
-  /// matrix and execute lint-checked repair schedules until every reachable
-  /// pair is whole or FaultConfig::max_retries epochs have run (see
-  /// src/coll/recovery.hpp). false runs epoch 0 alone, as retries:0 does.
-  /// A faulted run always records into a delivery matrix (an internal one
-  /// when `deliveries` is null).
-  bool recover = true;
-
   /// Optional per-hop observer forwarded to Fabric::set_hop_observer
   /// (link-level tracing). Observer runs stay parallel-eligible: on a
   /// --sim-threads run grants are buffered per slab and replayed, one call
@@ -110,7 +101,10 @@ struct AlltoallOptions {
   /// state (see Fabric::HopObserver).
   net::Fabric::HopObserver hop_observer;
 
-  /// Optional per-pair delivery verification (small partitions only).
+  /// Optional per-pair delivery verification (small partitions only). A
+  /// faulted run always records, into an internal matrix when this is null:
+  /// its repair epochs (src/coll/recovery.hpp) top up the pairs it shows
+  /// short.
   DeliveryMatrix* deliveries = nullptr;
 
   /// Record deliveries into an internal matrix (O(nodes^2) memory) and fill

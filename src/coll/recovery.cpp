@@ -156,9 +156,8 @@ void recover_epochs(RunResult& result, const AlltoallOptions& options,
   result.epochs.residual_pairs = residual.size();
 
   const LivenessView view = exchange_liveness(net, plan);
-  const int max_epochs = options.recover ? net.faults.max_retries : 0;
   Tick replan_cycles = 0;
-  while (!residual.empty() && result.epochs.replans < max_epochs) {
+  while (!residual.empty() && result.epochs.replans < net.faults.max_retries) {
     replan_cycles += view.agree_cycles;
     CommSchedule repair = build_repair_schedule(net, msg, residual);
     if (!schedule_lint(repair, &plan).ok()) break;

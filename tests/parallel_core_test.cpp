@@ -119,9 +119,9 @@ TEST(MidRunStrike, BlindPlanningQuiescesAndReportsStrandedRelayBytes) {
   // Strike one node a quarter of the way into the healthy run: phase-1
   // forwards are in flight and (for this seed) some sit in the victim's
   // custody at the strike instant. Deterministic — not timing-flaky.
-  // Recovery off: this test pins the struck epoch 0 with no repair epoch
-  // (recovery semantics have their own suite in recovery_test.cpp).
-  options.recover = false;
+  // No repair epoch: this test pins the struck epoch 0 alone (recovery
+  // semantics have their own suite in recovery_test.cpp).
+  options.net.faults.max_retries = 0;
   options.net.faults.node_fail = 1;
   options.net.faults.fail_at = healthy.elapsed_cycles / 4;
   const RunResult r = run_alltoall(StrategyKind::kTwoPhase, options);

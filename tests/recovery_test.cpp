@@ -162,7 +162,7 @@ TEST(RepairSchedule, LintsCleanAndCoversExactlyTheResidual) {
   options.msg_bytes = msg;
   DeliveryMatrix matrix(repair.nodes());
   options.deliveries = &matrix;
-  options.recover = false;
+  options.net.faults.max_retries = 0;
   const RunResult rr = run_schedule(repair, options, "repair");
   ASSERT_TRUE(rr.drained);
   for (const ResidualPair& r : residual) {
@@ -283,12 +283,12 @@ TEST(EpochRecovery, SynthesizedRelayScheduleRecovers) {
   EXPECT_EQ(r.faults.stranded_relay_bytes, 0u);
 }
 
-TEST(EpochRecovery, RecoverFalsePreservesTheStruckContract) {
+TEST(EpochRecovery, ZeroRetriesPreservesTheStruckContract) {
   AlltoallOptions options = options_for("4x4x4", 2048, 13);
   const RunResult healthy = run_alltoall(StrategyKind::kTwoPhase, options);
   ASSERT_TRUE(healthy.drained);
 
-  options.recover = false;
+  options.net.faults.max_retries = 0;
   options.net.faults.node_fail = 1;
   options.net.faults.fail_at = healthy.elapsed_cycles / 4;
   const RunResult r = run_alltoall(StrategyKind::kTwoPhase, options);

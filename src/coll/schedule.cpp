@@ -215,6 +215,7 @@ ScheduleExecutor::ScheduleExecutor(const net::NetworkConfig& config,
     if (credits) {
       s.outstanding.assign(static_cast<std::size_t>(relay_extent), 0);
       s.to_credit.assign(static_cast<std::size_t>(relay_extent), 0);
+      s.credits_sent.assign(static_cast<std::size_t>(relay_extent), 0);
     }
     s.barrier_open.resize(schedule_.barriers.size());
     s.barrier_left.resize(schedule_.barriers.size());
@@ -285,12 +286,14 @@ bool ScheduleExecutor::next_packet(topo::Rank node, net::InjectDesc& out) {
 }
 
 bool ScheduleExecutor::emit(topo::Rank node, NodeState& s, net::InjectDesc& out) {
-  // 1) Credits unblock remote senders; they are tiny — send them first. A
-  // credit's index counts the node's credits, so it follows arrival order,
-  // as the credit flow itself does.
+  // 1) Credits unblock remote senders; they are tiny — send them first. The
+  // k-th credit to a source answers its (k * batch)-th arrival, whatever
+  // the arrival order, so its index k names it independently of timing.
   if (!s.credit_queue.empty()) {
     const topo::Rank src = s.credit_queue.front();
     s.credit_queue.pop_front();
+    const auto lin = static_cast<std::size_t>(
+        schedule_.torus.coord_of(src)[schedule_.stream.relay_axis]);
     const PhaseSpec& phase = schedule_.phases[schedule_.stream.relayed_phase];
     out.dst = src;
     out.tag = make_tag(kCredit, node, src,
@@ -300,7 +303,7 @@ bool ScheduleExecutor::emit(topo::Rank node, NodeState& s, net::InjectDesc& out)
     out.mode = net::RoutingMode::kAdaptive;
     out.fifo = pick_fifo(s, phase.fifo_class, 0, 0);
     out.extra_cpu_cycles = schedule_.credits.credit_cpu_cycles;
-    out.index = s.credits_sent++;
+    out.index = s.credits_sent[lin]++;
     credit_packets_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }

@@ -346,11 +346,12 @@ class ScheduleExecutor : public net::Client {
     // Per-FIFO-class rotation counters (the uint8 wrap is part of the
     // behavior tests/golden/schedule_equivalence.txt pins).
     std::vector<std::uint8_t> fifo_rr;
-    // Credit flow control, indexed by the peer's relay-axis coordinate.
+    // Credit flow control, indexed by the peer's relay-axis coordinate,
+    // which names the peer: a relay serves only sources on its own line.
     std::vector<std::int32_t> outstanding;
     std::vector<std::int32_t> to_credit;
+    std::vector<std::uint32_t> credits_sent;  // Packet::index of the next credit
     std::deque<topo::Rank> credit_queue;
-    std::uint32_t credits_sent = 0;  // Packet::index of the next credit
     std::uint64_t corrupt_rejected = 0;
   };
 

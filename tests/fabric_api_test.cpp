@@ -11,6 +11,7 @@
 
 #include "src/coll/alltoall.hpp"
 #include "src/network/fabric.hpp"
+#include "src/network/faults.hpp"
 
 namespace bgl::net {
 namespace {
@@ -174,6 +175,23 @@ TEST(FabricApi, ZeroChunkCyclesIsRejected) {
   TimerClient client;
   EXPECT_THROW(check_config(config), std::invalid_argument);
   EXPECT_THROW(Fabric(config, client), std::invalid_argument);
+}
+
+TEST(FabricApi, FaultPlanOfAnotherConfigIsRejected) {
+  // Every epoch of a run shares the run's plan; a plan expanded from other
+  // faults or another shape would desynchronise the fabric from planning.
+  auto config = make_config("4x4x4");
+  config.faults = parse_fault_spec("link:0.05,seed:3");
+  TimerClient client;
+  EXPECT_NO_THROW(Fabric(config, client, FaultPlan(config, config.shape), 1));
+  auto other = config;
+  other.faults.seed = 4;
+  EXPECT_THROW(Fabric(config, client, FaultPlan(other, other.shape), 0),
+               std::invalid_argument);
+  other = config;
+  other.shape = topo::parse_shape("4x4x8");
+  EXPECT_THROW(Fabric(config, client, FaultPlan(other, other.shape), 0),
+               std::invalid_argument);
 }
 
 /// Every node sends `per_node` packets to the nodes after it (cyclically)

@@ -88,8 +88,8 @@ struct FaultConfig {
   /// alone and reports its short pairs in RunResult::abandoned_pairs.
   int max_retries = 10;
   /// A head packet that has not moved for this many cycles is dropped so the
-  /// network cannot wedge; the repair epochs re-send what it carried. 0
-  /// turns the sweep off.
+  /// network cannot wedge; the repair epochs re-send what it carried. Must
+  /// be > 0 (the `stuck:` key and the Fabric reject 0).
   Tick stuck_drop_cycles = 2'000'000;
 
   /// True when any fault mechanism is configured.

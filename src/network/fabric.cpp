@@ -58,6 +58,10 @@ void check_config(const NetworkConfig& config) {
   if (config.vc_capacity_chunks / config.max_packet_chunks < 2) {
     throw std::invalid_argument("VC buffer must hold >= 2 max packets (bubble rule)");
   }
+  // A zero budget would sweep every head the moment it reached the front.
+  if (config.faults.stuck_drop_cycles == 0) {
+    throw std::invalid_argument("stuck_drop_cycles must be >= 1");
+  }
 }
 
 Fabric::Fabric(const NetworkConfig& config, Client& client)
@@ -1165,7 +1169,7 @@ void Fabric::return_buffer_credit(Rank node, int port, const Packet& packet) {
 
 void Fabric::arm_sweep() {
   Shard& shard = *shard_ctx_;
-  if (shard.sweep_scheduled || stuck_cycles_ == 0) return;
+  if (shard.sweep_scheduled) return;
   shard.sweep_scheduled = true;
   post(now() + stuck_cycles_, kEvSweep);
 }

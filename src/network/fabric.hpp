@@ -573,7 +573,7 @@ class Fabric {
   bool node_alive_now(Rank node) const noexcept {
     return !faults_active_ || !struck_now() || fault_plan_.node_alive(node);
   }
-  Tick stuck_cycles_ = 0;  // stuck-head drop budget (0 = sweep disabled)
+  Tick stuck_cycles_ = 0;  // stuck-head drop budget (FaultConfig::stuck_drop_cycles)
   std::vector<std::uint8_t> link_down_;      // current (incl. transient) state
   std::vector<std::uint8_t> link_degraded_;  // serialization multiplier applies
   // Tick at which the current head of each buffer/FIFO became head; the

@@ -177,6 +177,17 @@ TEST(FabricApi, ZeroChunkCyclesIsRejected) {
   EXPECT_THROW(Fabric(config, client), std::invalid_argument);
 }
 
+TEST(FabricApi, ZeroStuckBudgetIsRejected) {
+  // A zero stuck-head budget would drop every head the moment it reached
+  // the front of its buffer; `stuck:0` is refused the same way.
+  auto config = make_config("4x4x4");
+  config.faults.drop_prob = 1e-3;
+  config.faults.stuck_drop_cycles = 0;
+  TimerClient client;
+  EXPECT_THROW(check_config(config), std::invalid_argument);
+  EXPECT_THROW(Fabric(config, client), std::invalid_argument);
+}
+
 TEST(FabricApi, FaultPlanOfAnotherConfigIsRejected) {
   // Every epoch of a run shares the run's plan; a plan expanded from other
   // faults or another shape would desynchronise the fabric from planning.

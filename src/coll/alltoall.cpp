@@ -10,6 +10,7 @@
 #include "src/coll/recovery.hpp"
 #include "src/coll/registry.hpp"
 #include "src/coll/schedule.hpp"
+#include "src/coll/schedule_lint.hpp"
 #include "src/coll/selector.hpp"
 #include "src/model/peak.hpp"
 
@@ -108,6 +109,114 @@ RunResult run_epoch(const net::NetworkConfig& net, ScheduleExecutor& client,
   return result;
 }
 
+std::uint64_t residual_bytes(const std::vector<ResidualPair>& residual) {
+  std::uint64_t total = 0;
+  for (const ResidualPair& r : residual) total += r.bytes;
+  return total;
+}
+
+void merge_faults(net::FaultStats& into, const net::FaultStats& from) {
+  into.dropped_in_flight += from.dropped_in_flight;
+  into.dropped_prob += from.dropped_prob;
+  into.dropped_stuck += from.dropped_stuck;
+  into.corrupted_payloads += from.corrupted_payloads;
+  into.unroutable_at_injection += from.unroutable_at_injection;
+  into.reroute_vetoes += from.reroute_vetoes;
+  into.transient_strikes += from.transient_strikes;
+  into.link_down_cycles += from.link_down_cycles;
+  // stranded_relay_bytes is not additive: recover_epochs re-derives it from
+  // the epoch-0 custody ledger against the final delivery matrix.
+}
+
+// The epoch transition and the repair epochs after a drained faulted epoch
+// 0 (src/coll/recovery.hpp), rewriting `result` in place. `result.reachable`
+// holds the pairs epoch 0 owed: pairs outside it are neither owed nor
+// reachable. `stranded` is epoch 0's dead-custodian ledger.
+void recover_epochs(RunResult& result, const AlltoallOptions& options,
+                    const net::NetworkConfig& net, const net::FaultPlan& plan,
+                    DeliveryMatrix& matrix, const std::vector<StrandedRelay>& stranded) {
+  const std::int32_t nodes = matrix.nodes();
+  const std::uint64_t msg = options.msg_bytes;
+  const PairMask carried = std::move(result.reachable);
+
+  // Epoch transition, step 1: survivors discard partial flows no repair can
+  // complete (an endpoint died or the pair is severed) so the exactly-once
+  // ledger the repair epochs extend starts consistent.
+  for (topo::Rank s = 0; s < nodes; ++s) {
+    for (topo::Rank d = 0; d < nodes; ++d) {
+      if (s == d) continue;
+      const std::uint64_t have = matrix.bytes(s, d);
+      if (have != 0 && have != msg && !pair_recoverable(plan, s, d)) {
+        matrix.discard(s, d);
+      }
+    }
+  }
+
+  // Step 2: the residual the repair epochs owe. It may be empty — nothing
+  // was lost, or every short pair lost an endpoint — and the survivors'
+  // view below still replaces epoch 0's.
+  std::vector<ResidualPair> residual = compute_residual(matrix, msg, plan, carried);
+  const std::uint64_t owed = residual_bytes(residual);
+  result.epochs.residual_pairs = residual.size();
+
+  const LivenessView view = exchange_liveness(net, plan);
+  Tick replan_cycles = 0;
+  while (!residual.empty() && result.epochs.replans < net.faults.max_retries) {
+    replan_cycles += view.agree_cycles;
+    CommSchedule repair = build_repair_schedule(net, msg, residual);
+    if (!schedule_lint(repair, &plan).ok()) break;
+
+    ++result.epochs.replans;
+    ScheduleExecutor repairer(net, std::move(repair), &matrix, &plan);
+    const RunResult repaired =
+        run_epoch(net, repairer, options, plan, result.epochs.replans, result.strategy);
+    replan_cycles += repaired.elapsed_cycles;
+    result.events += repaired.events;
+    result.packets_delivered += repaired.packets_delivered;
+    result.payload_bytes += repaired.payload_bytes;
+    merge_faults(result.faults, repaired.faults);
+    result.reliability.retransmits += repaired.reliability.retransmits;
+    result.reliability.corrupt_rejected += repaired.reliability.corrupt_rejected;
+    result.timed_out = result.timed_out || repaired.timed_out;
+    if (!repaired.drained || repaired.timed_out) {
+      result.drained = false;
+      break;
+    }
+    residual = compute_residual(matrix, msg, plan, carried);
+  }
+
+  result.epochs.epochs = 1 + result.epochs.replans;
+  result.epochs.replan_cycles = replan_cycles;
+  result.epochs.recovered_bytes = owed - residual_bytes(residual);
+  result.abandoned_pairs = residual.size();
+  result.elapsed_cycles += replan_cycles;
+
+  // Post-recovery reachability is the survivors' view of the pairs epoch 0
+  // owed: a pair counts reachable when a repair can still serve it — or when
+  // it was already delivered in full before the strike took an endpoint.
+  PairMask mask(nodes);
+  for (topo::Rank s = 0; s < nodes; ++s) {
+    for (topo::Rank d = 0; d < nodes; ++d) {
+      if (s != d && (!carried.reachable(s, d) ||
+                     (matrix.bytes(s, d) != msg && !pair_recoverable(plan, s, d)))) {
+        mask.set_unreachable(s, d);
+      }
+    }
+  }
+  result.reachable = std::move(mask);
+  result.unreachable_pairs = result.reachable.unreachable_pairs();
+
+  // Custody the repairs failed to replace is all that stays stranded; a
+  // successful recovery drains this to zero.
+  std::uint64_t still_stranded = 0;
+  for (const StrandedRelay& r : stranded) {
+    if (matrix.bytes(r.orig_src, r.final_dst) != msg) {
+      still_stranded += r.payload_bytes;
+    }
+  }
+  result.faults.stranded_relay_bytes = still_stranded;
+}
+
 // The one run path behind run_alltoall and run_schedule. `plan_schedule`
 // is called as plan_schedule(net, planning_faults) and returns the schedule
 // to execute and the run's label; the fault plan, the delivery matrix, the
@@ -147,11 +256,7 @@ RunResult run_planned(const AlltoallOptions& options, PlanSchedule&& plan_schedu
   if (faults != nullptr && result.drained && !result.timed_out) {
     std::vector<StrandedRelay> stranded;
     client.collect_stranded(plan, stranded);
-    recover_epochs(result, options, net, plan, *matrix, stranded,
-                   [&](CommSchedule repair, int epoch) {
-                     ScheduleExecutor repairer(net, std::move(repair), matrix, &plan);
-                     return run_epoch(net, repairer, options, plan, epoch, label);
-                   });
+    recover_epochs(result, options, net, plan, *matrix, stranded);
   }
 
   // Time and throughput cover every epoch.

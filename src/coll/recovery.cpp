@@ -1,33 +1,8 @@
 #include "src/coll/recovery.hpp"
 
-#include <algorithm>
 #include <utility>
 
-#include "src/coll/schedule_lint.hpp"
-
 namespace bgl::coll {
-namespace {
-
-std::uint64_t residual_bytes(const std::vector<ResidualPair>& residual) {
-  std::uint64_t total = 0;
-  for (const ResidualPair& r : residual) total += r.bytes;
-  return total;
-}
-
-void merge_faults(net::FaultStats& into, const net::FaultStats& from) {
-  into.dropped_in_flight += from.dropped_in_flight;
-  into.dropped_prob += from.dropped_prob;
-  into.dropped_stuck += from.dropped_stuck;
-  into.corrupted_payloads += from.corrupted_payloads;
-  into.unroutable_at_injection += from.unroutable_at_injection;
-  into.reroute_vetoes += from.reroute_vetoes;
-  into.transient_strikes += from.transient_strikes;
-  into.link_down_cycles += from.link_down_cycles;
-  // stranded_relay_bytes is not additive: the caller re-derives it from the
-  // epoch-0 custody ledger against the final delivery matrix.
-}
-
-}  // namespace
 
 LivenessView exchange_liveness(const net::NetworkConfig& net,
                                const net::FaultPlan& plan) {
@@ -52,9 +27,30 @@ LivenessView exchange_liveness(const net::NetworkConfig& net,
   return view;
 }
 
+topo::Rank repair_route(const net::FaultPlan& plan, topo::Rank src, topo::Rank dst) {
+  constexpr net::RoutingMode kAdaptive = net::RoutingMode::kAdaptive;
+  if (!plan.node_alive(src) || !plan.node_alive(dst)) return -1;
+  if (plan.pair_routable(src, dst, kAdaptive)) return src;
+  const auto relays = [&](topo::Rank r) {
+    return r != src && r != dst && plan.pair_routable(src, r, kAdaptive) &&
+           plan.pair_routable(r, dst, kAdaptive);
+  };
+  const topo::Torus& torus = plan.torus();
+  for (int a = 0; a < torus.axis_count(); ++a) {
+    topo::Coord probe = torus.coord_of(src);
+    for (int k = 0; k < torus.shape().dim[static_cast<std::size_t>(a)]; ++k) {
+      probe[a] = k;
+      if (const topo::Rank r = torus.rank_of(probe); relays(r)) return r;
+    }
+  }
+  for (topo::Rank r = 0; r < torus.nodes(); ++r) {
+    if (relays(r)) return r;
+  }
+  return -1;
+}
+
 bool pair_recoverable(const net::FaultPlan& plan, topo::Rank src, topo::Rank dst) {
-  return plan.node_alive(src) && plan.node_alive(dst) &&
-         plan.pair_routable(src, dst, net::RoutingMode::kAdaptive);
+  return repair_route(plan, src, dst) >= 0;
 }
 
 std::vector<ResidualPair> compute_residual(const DeliveryMatrix& matrix,
@@ -68,8 +64,9 @@ std::vector<ResidualPair> compute_residual(const DeliveryMatrix& matrix,
       if (s == d || !carried.reachable(s, d)) continue;
       const std::uint64_t have = matrix.bytes(s, d);
       if (have >= msg_bytes) continue;
-      if (!pair_recoverable(plan, s, d)) continue;
-      residual.push_back(ResidualPair{s, d, msg_bytes - have});
+      const topo::Rank route = repair_route(plan, s, d);
+      if (route < 0) continue;
+      residual.push_back(ResidualPair{s, d, msg_bytes - have, route == s ? -1 : route});
     }
   }
   return residual;
@@ -85,130 +82,76 @@ CommSchedule build_repair_schedule(const net::NetworkConfig& net,
   sched.injection_fifos = net.injection_fifos;
   sched.form = StreamForm::kExplicit;
 
+  // Phase 0: direct sends; 1: relayed pairs to their relay; 2: relay to
+  // destination, behind the barrier. All three share one wire shape and
+  // one FIFO class (all FIFOs, round robin).
   PhaseSpec phase;
-  phase.gate = PhaseGate::kPipelined;
   phase.mode = net::RoutingMode::kAdaptive;
   phase.fifo_class = 0;
   phase.packets = rt::packetize(msg_bytes, rt::WireFormat::direct());
   phase.override_format = rt::WireFormat::direct();
+  sched.phases.assign(2, phase);
+  phase.gate = PhaseGate::kLocalBarrier;
   sched.phases.push_back(std::move(phase));
-  sched.fifo_classes.push_back(FifoClass{});  // all FIFOs, round robin
+  sched.fifo_classes.push_back(FifoClass{});
 
   const std::int32_t nodes = sched.nodes();
+  BarrierSpec barrier;
+  barrier.phase = 2;
+  barrier.expected.assign(static_cast<std::size_t>(nodes), 0);
+  barrier.compute_cycles.assign(static_cast<std::size_t>(nodes), 0);
+
   // Coverage is the residual and nothing else: start all-unreachable and
   // re-mark exactly the pairs the repair carries.
   sched.covered = PairMask(nodes, /*reachable=*/false);
-
-  // One direct send per residual pair, grouped by source (compute_residual
-  // emits src-major order). A full-message residual uses the phase shape;
-  // a partial one overrides the payload to exactly the missing bytes.
-  std::vector<std::vector<const ResidualPair*>> by_src(
-      static_cast<std::size_t>(nodes));
+  std::vector<std::vector<const ResidualPair*>> by_src(static_cast<std::size_t>(nodes));
+  std::vector<std::vector<const ResidualPair*>> by_relay(static_cast<std::size_t>(nodes));
   for (const ResidualPair& r : residual) {
     by_src[static_cast<std::size_t>(r.src)].push_back(&r);
+    if (r.relay >= 0) by_relay[static_cast<std::size_t>(r.relay)].push_back(&r);
     sched.covered.set_reachable(r.src, r.dst);
   }
+
+  // One op per leg: a full-message residual uses the phase shape, a partial
+  // one overrides the payload to exactly the missing bytes. A first leg
+  // finalizes nothing; the relay's leg finalizes the pair's source.
+  const auto add_op = [&](const ResidualPair& r, topo::Rank to, std::uint8_t phase_index,
+                          std::uint16_t peer_index) {
+    SendOp op;
+    op.dst = to;
+    op.phase = phase_index;
+    op.peer_index = peer_index;
+    if (phase_index == 0) {
+      op.flags = SendOp::kFinalizeSelf;
+    } else if (phase_index == 2) {
+      op.finalize_begin = static_cast<std::int32_t>(sched.finalize_pool.size());
+      op.finalize_count = 1;
+      sched.finalize_pool.push_back(r.src);
+    }
+    if (r.bytes < msg_bytes) op.payload_bytes = static_cast<std::uint32_t>(r.bytes);
+    sched.ops.push_back(op);
+  };
   sched.op_begin.push_back(0);
   for (topo::Rank n = 0; n < nodes; ++n) {
-    std::uint16_t peer_index = 0;
+    std::uint16_t direct_ops = 0;
+    std::uint16_t relayed_ops = 0;
     for (const ResidualPair* r : by_src[static_cast<std::size_t>(n)]) {
-      SendOp op;
-      op.dst = r->dst;
-      op.phase = 0;
-      op.flags = SendOp::kFinalizeSelf;
-      op.peer_index = peer_index++;
-      if (r->bytes < msg_bytes) {
-        op.payload_bytes = static_cast<std::uint32_t>(r->bytes);
-      }
-      sched.ops.push_back(op);
+      if (r->relay < 0) add_op(*r, r->dst, 0, direct_ops++);
+    }
+    for (const ResidualPair* r : by_src[static_cast<std::size_t>(n)]) {
+      if (r->relay < 0) continue;
+      add_op(*r, r->relay, 1, relayed_ops++);
+      barrier.expected[static_cast<std::size_t>(r->relay)] +=
+          rt::packet_count(r->bytes, rt::WireFormat::direct());
+    }
+    std::uint16_t forwarded_ops = 0;
+    for (const ResidualPair* r : by_relay[static_cast<std::size_t>(n)]) {
+      add_op(*r, r->dst, 2, forwarded_ops++);
     }
     sched.op_begin.push_back(static_cast<std::uint32_t>(sched.ops.size()));
   }
+  sched.barriers.push_back(std::move(barrier));
   return sched;
-}
-
-void recover_epochs(RunResult& result, const AlltoallOptions& options,
-                    const net::NetworkConfig& net, const net::FaultPlan& plan,
-                    DeliveryMatrix& matrix, const std::vector<StrandedRelay>& stranded,
-                    const RunRepairEpoch& run_epoch) {
-  const std::int32_t nodes = matrix.nodes();
-  const std::uint64_t msg = options.msg_bytes;
-  const PairMask carried = std::move(result.reachable);
-
-  // Epoch transition, step 1: survivors discard partial flows no repair can
-  // complete (an endpoint died or the pair is severed) so the exactly-once
-  // ledger the repair epochs extend starts consistent.
-  for (topo::Rank s = 0; s < nodes; ++s) {
-    for (topo::Rank d = 0; d < nodes; ++d) {
-      if (s == d) continue;
-      const std::uint64_t have = matrix.bytes(s, d);
-      if (have != 0 && have != msg && !pair_recoverable(plan, s, d)) {
-        matrix.discard(s, d);
-      }
-    }
-  }
-
-  // Step 2: the residual the repair epochs owe. It may be empty — nothing
-  // was lost, or every short pair lost an endpoint — and the survivors'
-  // view below still replaces epoch 0's.
-  std::vector<ResidualPair> residual = compute_residual(matrix, msg, plan, carried);
-  const std::uint64_t owed = residual_bytes(residual);
-  result.epochs.residual_pairs = residual.size();
-
-  const LivenessView view = exchange_liveness(net, plan);
-  Tick replan_cycles = 0;
-  while (!residual.empty() && result.epochs.replans < net.faults.max_retries) {
-    replan_cycles += view.agree_cycles;
-    CommSchedule repair = build_repair_schedule(net, msg, residual);
-    if (!schedule_lint(repair, &plan).ok()) break;
-
-    ++result.epochs.replans;
-    const RunResult repaired = run_epoch(std::move(repair), result.epochs.replans);
-    replan_cycles += repaired.elapsed_cycles;
-    result.events += repaired.events;
-    result.packets_delivered += repaired.packets_delivered;
-    result.payload_bytes += repaired.payload_bytes;
-    merge_faults(result.faults, repaired.faults);
-    result.reliability.retransmits += repaired.reliability.retransmits;
-    result.reliability.corrupt_rejected += repaired.reliability.corrupt_rejected;
-    result.timed_out = result.timed_out || repaired.timed_out;
-    if (!repaired.drained || repaired.timed_out) {
-      result.drained = false;
-      break;
-    }
-    residual = compute_residual(matrix, msg, plan, carried);
-  }
-
-  result.epochs.epochs = 1 + result.epochs.replans;
-  result.epochs.replan_cycles = replan_cycles;
-  result.epochs.recovered_bytes = owed - residual_bytes(residual);
-  result.abandoned_pairs = residual.size();
-  result.elapsed_cycles += replan_cycles;
-
-  // Post-recovery reachability is the survivors' view of the pairs epoch 0
-  // owed: a pair counts reachable when a repair can still serve it — or when
-  // it was already delivered in full before the strike took an endpoint.
-  PairMask mask(nodes);
-  for (topo::Rank s = 0; s < nodes; ++s) {
-    for (topo::Rank d = 0; d < nodes; ++d) {
-      if (s != d && (!carried.reachable(s, d) ||
-                     (!pair_recoverable(plan, s, d) && matrix.bytes(s, d) != msg))) {
-        mask.set_unreachable(s, d);
-      }
-    }
-  }
-  result.reachable = std::move(mask);
-  result.unreachable_pairs = result.reachable.unreachable_pairs();
-
-  // Custody the repairs failed to replace is all that stays stranded; a
-  // successful recovery drains this to zero.
-  std::uint64_t still_stranded = 0;
-  for (const StrandedRelay& r : stranded) {
-    if (matrix.bytes(r.orig_src, r.final_dst) != msg) {
-      still_stranded += r.payload_bytes;
-    }
-  }
-  result.faults.stranded_relay_bytes = still_stranded;
 }
 
 }  // namespace bgl::coll

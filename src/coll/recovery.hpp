@@ -4,19 +4,23 @@
 // a DeliveryMatrix. Drops (in flight, by drop_prob, or by the stuck sweep),
 // checksum rejections, credit windows and barriers stalled by a lost packet,
 // and a mid-run strike (fail_at > 0) all leave reachable pairs short when
-// epoch 0 quiesces. This module turns that shortfall into a deterministic
-// epoch sequence:
+// epoch 0 quiesces. run_planned (alltoall.cpp) then turns that shortfall
+// into a deterministic epoch sequence from the pieces declared here:
 //
 //   epoch 0   the schedule itself, under the plan's timeline;
 //   ---       epoch transition: survivors agree on a liveness view (a
 //             modeled ring allgather per torus axis), discard partial flows
 //             no repair can complete, and compute the *residual* — every
-//             reachable ordered pair short of its msg_bytes;
+//             ordered pair epoch 0 owed that a repair can serve and that is
+//             short of its msg_bytes;
 //   epoch k   a lint-checked explicit-form repair CommSchedule re-sends
 //             exactly the residual (payload overrides top up partial pairs,
 //             never duplicating delivered bytes) on a fresh fabric under the
 //             same plan, with every permanent fault struck from tick 0 and
-//             no transient outage pending.
+//             no transient outage pending. A pair with a live minimal path
+//             is sent directly; one whose minimal paths are all dead (two
+//             neighbours across a dead link, which TPS and vmesh serve
+//             through a relay) goes through a live relay in two legs.
 //
 // The loop runs until the residual drains or FaultConfig::max_retries repair
 // epochs have run, then rewrites the RunResult: elapsed time grows by the
@@ -30,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/coll/alltoall.hpp"
@@ -51,49 +54,46 @@ struct LivenessView {
 LivenessView exchange_liveness(const net::NetworkConfig& net,
                                const net::FaultPlan& plan);
 
-/// Whether a repair epoch can still serve (src -> dst): both endpoints
-/// alive and a live adaptive path between them.
+/// The route a repair epoch gives (src -> dst) under `plan`: src itself for
+/// a direct send, the relay of a two-leg send when no live minimal path is
+/// left, or -1 when no repair can serve the pair (an endpoint died, or no
+/// live node has both legs routable). Relays on src's own axis lines are
+/// tried first (TPS's relay rule), then every node in rank order, so every
+/// pair a fail_at = 0 schedule carried keeps a route.
+topo::Rank repair_route(const net::FaultPlan& plan, topo::Rank src, topo::Rank dst);
+
+/// Whether a repair epoch can still serve (src -> dst): repair_route >= 0.
 bool pair_recoverable(const net::FaultPlan& plan, topo::Rank src, topo::Rank dst);
 
 /// One undelivered residual: a recoverable ordered pair whose delivery-
-/// matrix cell is `bytes` short of the collective's msg_bytes.
+/// matrix cell is `bytes` short of the collective's msg_bytes, and the
+/// relay its repair goes through (-1: a direct send).
 struct ResidualPair {
   topo::Rank src = -1;
   topo::Rank dst = -1;
   std::uint64_t bytes = 0;
+  topo::Rank relay = -1;
 };
 
 /// Scans the delivery matrix for recoverable pairs short of `msg_bytes`,
-/// in deterministic (src, dst) order. Pairs `carried` excludes (those
-/// epoch 0 did not owe; empty = every pair) are never owed.
+/// in deterministic (src, dst) order, each with its repair_route. Pairs
+/// `carried` excludes (those epoch 0 did not owe; empty = every pair) are
+/// never owed.
 std::vector<ResidualPair> compute_residual(const DeliveryMatrix& matrix,
                                            std::uint64_t msg_bytes,
                                            const net::FaultPlan& plan,
                                            const PairMask& carried = PairMask());
 
-/// Builds the explicit-form repair schedule delivering exactly `residual`:
-/// one direct adaptive send per pair (payload override = the missing bytes),
-/// coverage mask = the residual pairs and nothing else. The result lints
-/// clean under the plan whenever every residual pair is recoverable —
-/// callers still run schedule_lint before executing it.
+/// Builds the explicit-form repair schedule delivering exactly `residual`
+/// (payload override = the missing bytes) with coverage mask = the residual
+/// pairs and nothing else. Phase 0 holds the direct sends. A relayed pair
+/// goes to its relay in phase 1 and on to its destination in phase 2, which
+/// a barrier opens once the relay holds every phase-1 packet addressed to it
+/// (vmesh's column-phase gate). The result lints clean under the plan
+/// whenever every residual pair's route is live — callers still run
+/// schedule_lint before executing it.
 CommSchedule build_repair_schedule(const net::NetworkConfig& net,
                                    std::uint64_t msg_bytes,
                                    const std::vector<ResidualPair>& residual);
-
-/// Runs one repair schedule as the given epoch (>= 1) and returns its
-/// result; the deliveries land in the run's matrix.
-using RunRepairEpoch = std::function<RunResult(CommSchedule repair, int epoch)>;
-
-/// Post-quiescence epoch orchestration (called by run_alltoall/run_schedule
-/// after a drained faulted epoch 0): performs the epoch transition and runs
-/// repair epochs through `run_epoch` until the residual drains, rewriting
-/// `result` in place as described above. `result.reachable` must hold the
-/// pairs epoch 0 owed: pairs outside it are neither owed nor reachable.
-/// `stranded` is epoch 0's itemized dead-custodian ledger
-/// (ScheduleExecutor::collect_stranded).
-void recover_epochs(RunResult& result, const AlltoallOptions& options,
-                    const net::NetworkConfig& net, const net::FaultPlan& plan,
-                    DeliveryMatrix& matrix, const std::vector<StrandedRelay>& stranded,
-                    const RunRepairEpoch& run_epoch);
 
 }  // namespace bgl::coll

@@ -228,15 +228,16 @@ ScheduleExecutor::ScheduleExecutor(const net::NetworkConfig& config,
     combined_remaining_.assign(schedule_.ops.size(), 0);
     // Pre-packetize payload overrides so every cursor and the delivery
     // accounting agree on each op's wire shape. An override names exactly
-    // the bytes of one pair's message, so it is incompatible with combined
+    // the bytes of one pair's message — delivered (one finalize origin) or
+    // carried to a relay (none) — so it is incompatible with combined
     // multi-origin finalize lists (which share the phase's full shape).
     bool any_override = false;
     for (const SendOp& op : schedule_.ops) {
       if (op.payload_bytes != 0) {
         any_override = true;
-        if ((op.flags & SendOp::kFinalizeSelf) == 0 && op.finalize_count != 1) {
+        if ((op.flags & SendOp::kFinalizeSelf) == 0 && op.finalize_count > 1) {
           throw std::invalid_argument(
-              "SendOp payload override requires a single finalize origin");
+              "SendOp payload override allows at most one finalize origin");
         }
       }
     }

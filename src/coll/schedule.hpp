@@ -132,7 +132,8 @@ struct SendOp {
   /// the schedule's full msg_bytes and uses its phase's message shape.
   /// Nonzero ops are re-packetized with the phase's override_format — repair
   /// schedules use this to top up partially-delivered pairs with exactly the
-  /// missing bytes, never duplicating data that already arrived.
+  /// missing bytes, never duplicating data that already arrived. Such an op
+  /// finalizes one origin, or none when it only carries the bytes to a relay.
   std::uint32_t payload_bytes = 0;
 
   static constexpr std::uint8_t kFinalizeSelf = 1;

@@ -138,7 +138,7 @@ TEST(RepairSchedule, LintsCleanAndCoversExactlyTheResidual) {
   std::vector<ResidualPair> residual;
   for (topo::Rank s = 0; s < 4; ++s) {
     for (topo::Rank d = 8; d < 12; ++d) {
-      if (s == d || !pair_recoverable(plan, s, d)) continue;
+      if (s == d || repair_route(plan, s, d) != s) continue;  // direct pairs only
       residual.push_back(ResidualPair{s, d, s % 2 == 0 ? msg : msg / 4});
     }
   }
@@ -169,6 +169,59 @@ TEST(RepairSchedule, LintsCleanAndCoversExactlyTheResidual) {
     EXPECT_EQ(matrix.bytes(r.src, r.dst), r.bytes)
         << "pair " << r.src << " -> " << r.dst;
   }
+}
+
+TEST(RepairSchedule, RelaysPairsWithNoMinimalPathLeft) {
+  net::NetworkConfig net;
+  net.shape = topo::parse_shape("4x4x4");
+  net.seed = 7;
+  net.faults = net::parse_fault_spec("link:0.05,seed:2");
+  const net::FaultPlan plan(net, net.shape);
+
+  // Every pair short: the whole message, or three quarters of it.
+  const std::uint64_t msg = 512;
+  DeliveryMatrix delivered(net.shape.nodes());
+  for (topo::Rank s = 0; s < 64; ++s) {
+    for (topo::Rank d = 0; d < 64; ++d) {
+      if (s != d && (s + d) % 3 == 0) delivered.record(s, d, msg / 4);
+    }
+  }
+  const std::vector<ResidualPair> residual = compute_residual(delivered, msg, plan);
+  std::size_t relayed = 0;
+  for (const ResidualPair& r : residual) {
+    if (r.relay < 0) {
+      EXPECT_TRUE(plan.pair_routable(r.src, r.dst, net::RoutingMode::kAdaptive));
+      continue;
+    }
+    ++relayed;
+    EXPECT_FALSE(plan.pair_routable(r.src, r.dst, net::RoutingMode::kAdaptive));
+    EXPECT_TRUE(plan.pair_routable(r.src, r.relay, net::RoutingMode::kAdaptive));
+    EXPECT_TRUE(plan.pair_routable(r.relay, r.dst, net::RoutingMode::kAdaptive));
+  }
+  ASSERT_GT(relayed, 0u);
+
+  // One op per direct pair, two per relayed one; lint clean.
+  const CommSchedule repair = build_repair_schedule(net, msg, residual);
+  EXPECT_EQ(repair.ops.size(), residual.size() + relayed);
+  const LintReport report = schedule_lint(repair, &plan);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_EQ(report.covered_pairs, residual.size());
+
+  // Run alone, the repair delivers exactly each pair's missing bytes.
+  AlltoallOptions options;
+  options.net = net;
+  options.net.faults.max_retries = 0;
+  options.msg_bytes = msg;
+  DeliveryMatrix matrix(repair.nodes());
+  options.deliveries = &matrix;
+  const RunResult rr = run_schedule(repair, options, "repair");
+  ASSERT_TRUE(rr.drained);
+  std::uint64_t owed = 0;
+  for (const ResidualPair& r : residual) {
+    EXPECT_EQ(matrix.bytes(r.src, r.dst), r.bytes) << "pair " << r.src << " -> " << r.dst;
+    owed += r.bytes;
+  }
+  EXPECT_EQ(matrix.total_bytes(), owed);
 }
 
 // --- epoch recovery end to end ----------------------------------------------

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "src/network/faults.hpp"
 #include "src/topology/torus.hpp"
@@ -309,6 +310,29 @@ TEST(Repair, DeadLinksDegradeGracefullyAcrossStrategies) {
     ASSERT_TRUE(r.drained);
     EXPECT_TRUE(r.reachable_complete);
     EXPECT_EQ(r.pairs_complete + r.unreachable_pairs, all_pairs(options));
+  }
+}
+
+// TPS and vmesh serve two neighbours across a dead link through a relay,
+// since no minimal path is left between them. When such a pair comes up
+// short, the repair must relay it too, not reclassify it as unreachable.
+TEST(Repair, RelayedPairsAcrossDeadLinksAreRepaired) {
+  for (const StrategyKind kind : {StrategyKind::kTwoPhase, StrategyKind::kVirtualMesh}) {
+    for (const char* seed : {"2", "7"}) {
+      SCOPED_TRACE(strategy_name(kind) + " fault seed " + seed);
+      const std::string links = std::string("link:0.05,seed:") + seed;
+      const auto dead_links = options_for("4x4x4", 240, links.c_str());
+      const auto with_loss = options_for("4x4x4", 240, (links + ",drop:2e-3").c_str());
+      const RunResult planned = run_alltoall(kind, dead_links);
+      const RunResult lossy = run_alltoall(kind, with_loss);
+      ASSERT_TRUE(planned.drained);
+      ASSERT_TRUE(lossy.drained);
+      EXPECT_GE(lossy.epochs.epochs, 2);
+      EXPECT_EQ(lossy.unreachable_pairs, planned.unreachable_pairs);
+      EXPECT_EQ(lossy.abandoned_pairs, 0u);
+      EXPECT_TRUE(lossy.reachable_complete);
+      EXPECT_EQ(lossy.pairs_complete, planned.pairs_complete);
+    }
   }
 }
 
